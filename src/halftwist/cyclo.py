@@ -226,6 +226,10 @@ class CycloNum:
         return self.coeffs == other.coeffs
 
     def __hash__(self):
+        c0, c1, c2, c3 = self.coeffs
+        if not (c1 or c2 or c3):
+            # A rational value equals its Fraction or int, so hash like it.
+            return hash(c0)
         return hash(self.coeffs)
 
     def __bool__(self):

@@ -1,9 +1,17 @@
 """Sparse tensor contraction and exact dense linear algebra over Q(zeta_8).
 
-Tensors are dicts mapping index tuples to nonzero CycloNum values.  The
-einsum() helper contracts a chain of such tensors pairwise, never
-materializing a dense intermediate: at each step it keeps only the index
-letters still needed by later operands or by the requested output.
+Tensors are dicts mapping index tuples to nonzero CycloNum values.  einsum()
+contracts any number of them by pairwise joins, never materializing a dense
+table.  The order of the joins is planned, not read off the spec: at each
+step a greedy planner joins the two remaining operands whose join forms the
+fewest terms, counted exactly as the sum over shared-index keys of
+|bucket_1| * |bucket_2|.  Only pairs that share a letter compete unless none
+do, and ties go to the leftmost pair.  The plan depends on the operands'
+letters and entries alone, so an identity can be written exactly as its
+equation reads and still be contracted cheaply.  Before each join the term
+count is checked against CELL_CEILING, the same ceiling ribbon.evaluate puts
+on its boundary tables; a join over it raises ContractionTooLarge before any
+of it is built.
 
 The dense routines (inverse, nullspace, positivity pivots) operate on small
 lists of lists and are exact; division is field division in Q(zeta_8).
@@ -11,13 +19,23 @@ lists of lists and are exact; division is field division in Q(zeta_8).
 
 from __future__ import annotations
 
+from collections import Counter
+from operator import itemgetter
+
 from .cyclo import CycloNum, ZERO, ONE
 
 SparseTensor = dict[tuple[int, ...], CycloNum]
 
+# Largest table, in entries or join terms, that a contraction may build.
+CELL_CEILING = 1 << 21
+
 
 class SingularMatrixError(ValueError):
     pass
+
+
+class ContractionTooLarge(ValueError):
+    """A contraction step would form more terms than CELL_CEILING."""
 
 
 def delta(dim: int) -> SparseTensor:
@@ -39,8 +57,14 @@ def einsum(spec: str, *tensors: SparseTensor) -> SparseTensor:
 
     Index letters follow the usual convention: a letter appearing in two
     operands and not in the output is summed.  A letter may not appear twice
-    within one operand, and a summed letter may not appear in more than two
-    operands.
+    within one operand, a summed letter may not appear in more than two
+    operands, and the output must list exactly the letters that appear in
+    one operand only.
+
+    The operands are joined two at a time in the order the greedy planner in
+    the module docstring picks, and the result is permuted to the output
+    letters.  Raises ContractionTooLarge, naming the spec and the term count,
+    when a planned join would form more than CELL_CEILING terms.
     """
     lhs, out_idx = spec.replace(" ", "").split("->")
     idx_lists = lhs.split(",")
@@ -49,25 +73,78 @@ def einsum(spec: str, *tensors: SparseTensor) -> SparseTensor:
     for s in idx_lists:
         if len(set(s)) != len(s):
             raise ValueError(f"repeated letter within one operand in {spec!r}")
+    uses = Counter("".join(idx_lists))
+    overused = [c for c, n in uses.items() if n > 2 or (n == 2 and c in out_idx)]
+    if overused:
+        raise ValueError(
+            f"letter(s) {overused} in {spec!r} appear in two operands and elsewhere"
+        )
+    free = "".join(c for c, n in uses.items() if n == 1)
+    if sorted(free) != sorted(out_idx):
+        raise ValueError(f"output letters {out_idx!r} do not match result {free!r}")
 
-    cur, cur_idx = tensors[0], idx_lists[0]
-    for step in range(1, len(idx_lists)):
-        nxt, nxt_idx = tensors[step], idx_lists[step]
-        later = set("".join(idx_lists[step + 1:])) | set(out_idx)
-        cur, cur_idx = _join(cur, cur_idx, nxt, nxt_idx, later)
-    if set(cur_idx) != set(out_idx) or len(cur_idx) != len(out_idx):
-        raise ValueError(f"output letters {out_idx!r} do not match result {cur_idx!r}")
+    # Each operand carries a cache of its entry counts per key of letters.
+    ops = [(t, s, {}) for t, s in zip(tensors, idx_lists)]
+    while len(ops) > 1:
+        terms, i, j = _cheapest_pair(ops)
+        if terms > CELL_CEILING:
+            raise ContractionTooLarge(
+                f"einsum {spec!r} would form a join of {terms} terms, "
+                f"over the ceiling of {CELL_CEILING}"
+            )
+        (t1, i1, _), (t2, i2, _) = ops[i], ops[j]
+        joined, joined_idx = _join(t1, i1, t2, i2)
+        ops[i] = (joined, joined_idx, {})
+        del ops[j]
+    cur, cur_idx, _ = ops[0]
     if cur_idx == out_idx:
         return prune(cur)
     perm = [cur_idx.index(c) for c in out_idx]
     return prune({tuple(k[p] for p in perm): v for k, v in cur.items()})
 
 
-def _join(t1, i1, t2, i2, keep):
+def _cheapest_pair(ops) -> tuple[int, int, int]:
+    """(terms, i, j) of the join with the fewest terms, i < j.
+
+    Pairs sharing a letter are preferred over outer products; ties go to the
+    pair that comes first in operand order.
+    """
+    pairs = [
+        (i, j, tuple(c for c in ops[i][1] if c in ops[j][1]))
+        for i in range(len(ops))
+        for j in range(i + 1, len(ops))
+    ]
+    if any(common for _, _, common in pairs):
+        pairs = [p for p in pairs if p[2]]
+    return min((_join_terms(ops[i], ops[j], common), i, j) for i, j, common in pairs)
+
+
+def _join_terms(op1, op2, common: tuple[str, ...]) -> int:
+    """Exact number of products a join forms: the sum over keys of the
+    shared letters of |bucket_1| * |bucket_2|."""
+    if not common:
+        return len(op1[0]) * len(op2[0])
+    c1, c2 = _key_counts(op1, common), _key_counts(op2, common)
+    if len(c1) > len(c2):
+        c1, c2 = c2, c1
+    return sum(n * c2[k] for k, n in c1.items())
+
+
+def _key_counts(op, letters: tuple[str, ...]) -> Counter:
+    """Entries of an operand per value of the given letters, cached."""
+    t, idx, cache = op
+    counts = cache.get(letters)
+    if counts is None:
+        # One letter gives bare values as keys, several give tuples; both
+        # operands of a pair count on the same letters, so their keys match.
+        key = itemgetter(*(idx.index(c) for c in letters))
+        counts = cache[letters] = Counter(map(key, t))
+    return counts
+
+
+def _join(t1, i1, t2, i2):
+    """Contract two operands over every letter they share."""
     common = [c for c in i1 if c in i2]
-    kept_common = [c for c in common if c in keep]
-    if kept_common:
-        raise ValueError(f"letter(s) {kept_common} appear in two operands and later")
     out_idx = [c for c in i1 if c not in common] + [c for c in i2 if c not in common]
     pos1 = {c: i for i, c in enumerate(i1)}
     pos2 = {c: i for i, c in enumerate(i2)}

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 
 from .cyclo import CycloNum, ZERO, ONE
+from .linalg import CELL_CEILING
 from .superalgebra import HalfTwistAlgebra
 
 __all__ = [
@@ -56,8 +57,6 @@ ARITY = {
     "t-": (1, 1),
     "id": (1, 1),
 }
-
-CELL_CEILING = 1 << 21
 
 
 class DiagramError(ValueError):

@@ -151,6 +151,18 @@ def test_unitarity_needs_star():
         check_unitarity(no_star)
 
 
+def test_singular_twist_reported_as_failure():
+    # Zeroing twist[0, 0] of cl(1,0) leaves a singular half twist.
+    bad = _mutant(algebra("cl(1,0)"), "twist", (0, 0), ZERO)
+    report = full_report(bad)
+    assert not report.passed("star_twist_inverse")
+    assert report.statuses["star_twist_inverse"].witness == ()
+    lines = report.render_text().splitlines()
+    assert any(ln.startswith("star_twist_inverse") and "FAIL" in ln for ln in lines)
+    kv = report.render_kv()
+    assert "star_twist_inverse = fail\nstar_twist_inverse.witness = ()\n" in kv
+
+
 def test_reports_are_deterministic():
     a = algebra("mat(2|1)")
     r1 = full_report(a)

@@ -46,6 +46,10 @@ def test_check_pass_and_fail():
     code, text = run("check", "cl(1,0)@alpha=-1")
     assert code == 1
     assert "positive_definite" in text and "FAIL" in text
+    # a failure without witness values renders in kv form too
+    code, text = run("--format", "kv", "check", "cl(1,0)@alpha=-1")
+    assert code == 1
+    assert "positive_definite = fail\npositive_definite.witness = ()\n" in text
 
 
 def test_states():

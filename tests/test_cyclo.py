@@ -161,3 +161,11 @@ def test_pow():
     assert ZETA**8 == ONE
     assert ZETA**-1 == ZETA.conjugate()
     assert SQRT2**-2 == CycloNum(Fraction(1, 2))
+
+
+def test_hash_agrees_with_equality():
+    assert {CycloNum(1), 1} == {1}
+    assert len({CycloNum(1), 1, Fraction(1), ONE}) == 1
+    assert hash(CycloNum(Fraction(1, 3))) == hash(Fraction(1, 3))
+    assert hash(ZERO) == hash(0)
+    assert {SQRT2: "a"}[ZETA - ZETA**3] == "a"
