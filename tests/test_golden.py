@@ -1,0 +1,87 @@
+"""Golden kv corpus: CLI output that a refactor must keep byte-identical.
+
+Each record is one `halftwist --format kv` command with its exit code, its
+standard output and its standard error.  The corpus covers `states`,
+`classify` and `partition` on every surface literal for the axiom spec mix up
+to dim 8 at three alphas, plus `check` up to dim 4.
+
+After an intended change of output, rewrite the corpus with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and review the diff of tests/golden/kv_corpus.txt record by record.
+"""
+
+import contextlib
+import io
+import shlex
+from pathlib import Path
+
+from halftwist.cli import main
+
+CORPUS = Path(__file__).parent / "golden" / "kv_corpus.txt"
+
+# The axiom spec mix up to dim 8, smallest first within each family.
+SPECS = (
+    "cl(0,0)", "cl(1,0)", "cl(0,1)", "cl(2,0)", "cl(1,1)", "cl(0,2)",
+    "cl(3,0)", "cl(2,1)", "cl(1,2)", "cl(0,3)",
+    "clc(0)", "clc(1)", "clc(2)", "mat(1|1)",
+    "cl(1,0) (x) cl(0,1)", "cl(1,0) (x) mat(1|1)", "clc(1) (x) cl(1,0)",
+    "cl(1,0) (+) cl(1,0)", "cl(1,0) (+) cl(0,1)", "cl(2,0) (+) mat(2|0)",
+)
+# `check` is the costly command; these are the specs of dim at most 4.
+CHECK_SPECS = (
+    "cl(0,0)", "cl(1,0)", "cl(0,1)", "cl(2,0)", "cl(1,1)", "cl(0,2)",
+    "clc(0)", "clc(1)", "mat(1|1)",
+    "cl(1,0) (x) cl(0,1)", "cl(1,0) (+) cl(1,0)", "cl(1,0) (+) cl(0,1)",
+)
+# A positive, an irrational and a negative scale.
+ALPHAS = ("1", "z-z^3", "-1")
+SURFACES = (
+    "sphere", "rp2:1", "rp2:3",
+    "torus:ns,ns", "torus:ns,r", "torus:r,ns", "torus:r,r",
+    "klein:1,1", "klein:1,3", "klein:3,1", "klein:3,3", "csum:1,1,1",
+)
+
+
+def commands():
+    for alpha in ALPHAS:
+        base = ["--format", "kv", "--alpha", alpha]
+        for spec in SPECS:
+            yield base + ["states", spec]
+            yield base + ["classify", spec]
+            for surface in SURFACES:
+                yield base + ["partition", spec, surface]
+            if spec in CHECK_SPECS:
+                yield base + ["check", spec]
+
+
+def record(argv) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv, out=out)
+    lines = [f"$ halftwist {shlex.join(argv)}", f"exit {code}"]
+    lines += out.getvalue().splitlines()
+    lines += [f"stderr: {line}" for line in err.getvalue().splitlines()]
+    return "\n".join(lines) + "\n"
+
+
+def _by_command(text: str) -> dict[str, str]:
+    records = ("\n" + text).split("\n$ ")[1:]
+    return {r.split("\n", 1)[0]: r for r in records}
+
+
+def test_kv_corpus_is_unchanged():
+    want = _by_command(CORPUS.read_text(encoding="utf-8"))
+    got = _by_command("".join(record(argv) for argv in commands()))
+    assert list(got) == list(want), "the corpus commands changed; rewrite it"
+    changed = [cmd for cmd in want if got[cmd] != want[cmd]]
+    assert not changed, (
+        f"{len(changed)} of {len(want)} records differ; first:\n"
+        f"want:\n{want[changed[0]]}\ngot:\n{got[changed[0]]}"
+    )
+
+
+if __name__ == "__main__":
+    CORPUS.parent.mkdir(exist_ok=True)
+    CORPUS.write_text("".join(record(argv) for argv in commands()), encoding="utf-8")
