@@ -39,7 +39,6 @@ from .ribbon import (
     RibbonDiagram,
     LinearBlock,
     parse,
-    validate,
     evaluate,
     compose,
     expand_left_twists,

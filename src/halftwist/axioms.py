@@ -130,7 +130,9 @@ class AxiomReport:
             if name:
                 line += f"  ({name})"
             if not status.passed:
-                line += f"  witness={status.witness} lhs={status.lhs!r} rhs={status.rhs!r}"
+                line += f"  witness={status.witness}"
+                if status.lhs is not None:
+                    line += f" lhs={status.lhs!r} rhs={status.rhs!r}"
             lines.append(line)
         return "\n".join(lines)
 

@@ -13,8 +13,14 @@ count is checked against CELL_CEILING, the same ceiling ribbon.evaluate puts
 on its boundary tables; a join over it raises ContractionTooLarge before any
 of it is built.
 
-The dense routines (inverse, nullspace, positivity pivots) operate on small
-lists of lists and are exact; division is field division in Q(zeta_8).
+Exact linear algebra has one elimination routine, row_reduce, which brings
+sparse rows ({column: value} dicts) to reduced row echelon form.  nullspace,
+mat_invert and linear_solve read their answers off that form; since the
+reduced form of a row space is unique, none of them depends on the order of
+the rows.  hermitian_positive_definite keeps its own dense elimination,
+because Sylvester's criterion needs the pivots of a symmetric elimination
+without row swaps, which the reduced form does not expose.  Division is
+field division in Q(zeta_8).
 """
 
 from __future__ import annotations
@@ -187,7 +193,101 @@ def tensors_differ(t1: SparseTensor, t2: SparseTensor):
     return None
 
 
-# -- dense exact linear algebra ------------------------------------------
+# -- exact elimination ----------------------------------------------------
+
+
+SparseRow = dict[int, CycloNum]
+
+
+class InconsistentSystemError(ValueError):
+    pass
+
+
+def row_reduce(rows) -> dict[int, SparseRow]:
+    """Reduced row echelon form of the span of sparse rows.
+
+    Each row maps column -> value; zero values may be present and are
+    dropped.  The result maps each pivot column to its row, which is 1 at the
+    pivot and 0 left of it and in every other pivot column.  The reduced form
+    of a row space is unique, so the result depends neither on the order nor
+    on the scaling of the rows.
+    """
+    pivots: dict[int, SparseRow] = {}
+    for row in rows:
+        row = {c: v for c, v in row.items() if not v.is_zero()}
+        for c in [c for c in row if c in pivots]:
+            _eliminate(row, c, pivots[c])
+        if not row:
+            continue
+        lead = min(row)
+        inv = row[lead].inverse()
+        row = {c: v * inv for c, v in row.items()}
+        for prow in pivots.values():
+            if lead in prow:
+                _eliminate(prow, lead, row)
+        pivots[lead] = row
+    return pivots
+
+
+def _eliminate(row: SparseRow, col: int, pivot_row: SparseRow) -> None:
+    """Subtract row[col] times pivot_row, which is 1 at col, from row."""
+    f = row.pop(col)
+    for c, v in pivot_row.items():
+        if c != col:
+            nv = row.get(c, ZERO) - f * v
+            if nv.is_zero():
+                row.pop(c, None)
+            else:
+                row[c] = nv
+
+
+def nullspace(rows, ncols: int) -> list[SparseRow]:
+    """Basis of the solution space of rows . v = 0, rows given sparse.
+
+    One basis vector per free column of the reduced form, in ascending
+    column order: 1 at the free column and minus that column of each pivot
+    row at its pivot.
+    """
+    reduced = row_reduce(rows)
+    basis = []
+    for free in range(ncols):
+        if free not in reduced:
+            vec = {p: -prow[free] for p, prow in reduced.items() if free in prow}
+            vec[free] = ONE
+            basis.append(vec)
+    return basis
+
+
+def mat_invert(m: SparseTensor, n: int) -> SparseTensor:
+    """Exact inverse of the n x n matrix {(row, col): value}.
+
+    The reduced form of [m | I] is [I | m^-1] exactly when m is invertible.
+    """
+    rows = [{n + i: ONE} for i in range(n)]
+    for (i, j), v in m.items():
+        rows[i][j] = v
+    reduced = row_reduce(rows)
+    if any(p >= n for p in reduced):
+        raise SingularMatrixError("matrix is singular")
+    return {(i, c - n): v for i, row in reduced.items() for c, v in row.items() if c >= n}
+
+
+def linear_solve(rows, ncols: int) -> list[CycloNum]:
+    """Solve a sparse linear system given as (coeff dict, rhs) pairs.
+
+    The right-hand side rides along as column ncols; free columns are set to
+    zero.  Raises InconsistentSystemError when no solution exists.
+    """
+    reduced = row_reduce({**coeffs, ncols: rhs} for coeffs, rhs in rows)
+    if ncols in reduced:
+        raise InconsistentSystemError("linear system has no solution")
+    out = [ZERO] * ncols
+    for c, row in reduced.items():
+        out[c] = row.get(ncols, ZERO)
+    return out
+
+
+# -- dense positivity test -----------------------------------------------
 
 
 Matrix = list[list[CycloNum]]
@@ -198,131 +298,6 @@ def dense_from_sparse(t: SparseTensor, dim: int) -> Matrix:
     for (a, b), v in t.items():
         m[a][b] = v
     return m
-
-
-def sparse_from_dense(m: Matrix) -> SparseTensor:
-    return {
-        (a, b): v
-        for a, row in enumerate(m)
-        for b, v in enumerate(row)
-        if not v.is_zero()
-    }
-
-
-def mat_invert(m: Matrix) -> Matrix:
-    """Exact inverse by Gauss-Jordan elimination with partial pivoting."""
-    n = len(m)
-    aug = [list(row) + [ONE if i == j else ZERO for j in range(n)] for i, row in enumerate(m)]
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if not aug[r][col].is_zero()), None)
-        if pivot_row is None:
-            raise SingularMatrixError("matrix is singular")
-        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        inv_p = aug[col][col].inverse()
-        aug[col] = [x * inv_p for x in aug[col]]
-        for r in range(n):
-            if r == col or aug[r][col].is_zero():
-                continue
-            f = aug[r][col]
-            aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
-
-def nullspace(rows: list[list[CycloNum]], ncols: int) -> list[list[CycloNum]]:
-    """Basis of the solution space of rows . v = 0.
-
-    Rows are reduced to echelon form; one basis vector is produced per free
-    column, in ascending column order, so the result is deterministic.
-    """
-    echelon: list[list[CycloNum]] = []
-    pivots: list[int] = []
-    for row in rows:
-        row = list(row)
-        for erow, p in zip(echelon, pivots):
-            if not row[p].is_zero():
-                f = row[p]
-                row = [x - f * y for x, y in zip(row, erow)]
-        lead = next((c for c in range(ncols) if not row[c].is_zero()), None)
-        if lead is None:
-            continue
-        inv = row[lead].inverse()
-        row = [x * inv for x in row]
-        # Back-substitute into earlier rows to reach reduced form.
-        for i, erow in enumerate(echelon):
-            if not erow[lead].is_zero():
-                f = erow[lead]
-                echelon[i] = [x - f * y for x, y in zip(erow, row)]
-        echelon.append(row)
-        pivots.append(lead)
-        if len(echelon) == ncols:
-            break
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = [ZERO] * ncols
-        vec[free] = ONE
-        for erow, p in zip(echelon, pivots):
-            if not erow[free].is_zero():
-                vec[p] = -erow[free]
-        basis.append(vec)
-    return basis
-
-
-class InconsistentSystemError(ValueError):
-    pass
-
-
-def linear_solve(rows, ncols: int) -> list[CycloNum]:
-    """Solve a sparse linear system given as (coeff dict, rhs) pairs.
-
-    Maintains a reduced echelon basis keyed by pivot column; free columns are
-    set to zero.  Raises InconsistentSystemError when no solution exists.
-    """
-    pivots: dict[int, tuple[dict[int, CycloNum], CycloNum]] = {}
-    for row, rhs in rows:
-        row = dict(row)
-        hits = [c for c in row if c in pivots]
-        for c in hits:
-            f = row.pop(c)
-            prow, prhs = pivots[c]
-            for c2, v2 in prow.items():
-                if c2 == c:
-                    continue
-                nv = row.get(c2, ZERO) - f * v2
-                if nv.is_zero():
-                    row.pop(c2, None)
-                else:
-                    row[c2] = nv
-            rhs = rhs - f * prhs
-        if not row:
-            if not rhs.is_zero():
-                raise InconsistentSystemError("linear system has no solution")
-            continue
-        lead = min(row)
-        inv = row[lead].inverse()
-        prow = {c: v * inv for c, v in row.items()}
-        prhs = rhs * inv
-        for c, (erow, erhs) in list(pivots.items()):
-            f = erow.get(lead)
-            if f is None:
-                continue
-            for c2, v2 in prow.items():
-                if c2 == lead:
-                    erow.pop(lead, None)
-                    continue
-                nv = erow.get(c2, ZERO) - f * v2
-                if nv.is_zero():
-                    erow.pop(c2, None)
-                else:
-                    erow[c2] = nv
-            pivots[c] = (erow, erhs - f * prhs)
-        pivots[lead] = (prow, prhs)
-    out = [ZERO] * ncols
-    for c, (_, prhs) in pivots.items():
-        out[c] = prhs
-    return out
 
 
 def hermitian_positive_definite(g: Matrix) -> bool:

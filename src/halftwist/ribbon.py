@@ -41,7 +41,6 @@ __all__ = [
     "RibbonDiagram",
     "LinearBlock",
     "parse",
-    "validate",
     "evaluate",
     "compose",
     "expand_left_twists",
@@ -103,11 +102,6 @@ class RibbonDiagram:
 
     def validate(self) -> tuple[int, int]:
         return self.bottom, self.widths()[-1]
-
-
-def validate(diagram: RibbonDiagram) -> tuple[int, int]:
-    """Boundary widths (n, m) of a diagram, or a DiagramError."""
-    return diagram.validate()
 
 
 def compose(d1: RibbonDiagram, d2: RibbonDiagram) -> RibbonDiagram:
@@ -262,13 +256,6 @@ class LinearBlock:
                 term = v1 * v2
                 out[key] = term if acc is None else acc + term
         return LinearBlock(self.n, other.m, out)
-
-    def apply(self, in_tuple: tuple[int, ...]) -> dict:
-        out: dict = {}
-        for (i, o), v in self.table.items():
-            if i == in_tuple:
-                out[o] = out.get(o, ZERO) + v
-        return out
 
     def entries(self):
         return sorted(self.table.items())

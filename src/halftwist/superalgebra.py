@@ -36,12 +36,10 @@ from .linalg import (
     SparseTensor,
     SingularMatrixError,
     delta,
-    dense_from_sparse,
     einsum,
     linear_solve,
     mat_invert,
     prune,
-    sparse_from_dense,
     tensors_differ,
 )
 
@@ -132,9 +130,6 @@ class HalfTwistAlgebra:
         coeffs[a] = ONE
         return AlgebraElement(self, tuple(coeffs))
 
-    def zero_element(self) -> "AlgebraElement":
-        return AlgebraElement(self, (ZERO,) * self.dim)
-
     # -- derived tensors (cached) ------------------------------------------
 
     def product_tensor(self) -> SparseTensor:
@@ -205,12 +200,11 @@ class HalfTwistAlgebra:
 
     def twist_inverse(self) -> SparseTensor:
         if "twist_inv" not in self._cache:
-            dense = dense_from_sparse(self.twist, self.dim)
             try:
-                inv = mat_invert(dense)
+                inv = mat_invert(self.twist, self.dim)
             except SingularMatrixError:
                 raise SingularMatrixError("half twist is singular") from None
-            self._cache["twist_inv"] = sparse_from_dense(inv)
+            self._cache["twist_inv"] = inv
         return self._cache["twist_inv"]  # type: ignore[return-value]
 
     def has_swap_crossing(self) -> bool:

@@ -9,15 +9,19 @@ solved exactly as linear systems; for algebras built by the superalgebra
 constructors it is enough to let b run over a stored generating set, since
 the defining condition propagates over products of homogeneous generators.
 
-Projectors onto these subspaces are orthogonal with respect to the inner
-product <x, y> = eta(star x, y), which requires a positive scale alpha.
 Closed surfaces are evaluated three ways, all exact:
 
     sphere, projective planes   by ribbon diagram
-    tori                        by a trace over the sector projector
+    tori                        by the (super)dimension of a state space
     crosscap sums, Klein        by multiplying capped-off states in the algebra
 
 and every value can be cross-checked against the Gauss-sum oracle in pingeo.
+A torus is the trace over the circle state space V_e of its first cycle,
+twisted by the parity when the second cycle is R: Z(e, NS) = dim V_e and
+Z(e, R) = sdim V_e = dim V_e^even - dim V_e^odd.  That needs neither a star
+structure nor a positive alpha.  Projectors onto the state spaces, which
+handle_state uses, are orthogonal with respect to the inner product
+<x, y> = eta(star x, y) and do need both.
 """
 
 from __future__ import annotations
@@ -25,13 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cyclo import CycloNum, ZERO, zeta_pow, real_sqrt
-from .linalg import (
-    SparseTensor,
-    dense_from_sparse,
-    einsum,
-    mat_invert,
-    nullspace,
-)
+from .linalg import SparseRow, SparseTensor, einsum, mat_invert, nullspace, row_reduce
 from .pingeo import PinSurfacePresentation
 from .ribbon import LinearBlock, evaluate, parse
 from .superalgebra import AlgebraElement, HalfTwistAlgebra
@@ -213,81 +211,40 @@ def _sector_rows(a: HalfTwistAlgebra, sector: str):
 
 
 def state_space(a: HalfTwistAlgebra, sector: str) -> StateSpace:
-    """Solve the twisted-center condition and split the solutions by parity."""
-    rows = _sector_rows(a, sector)
-    dense_rows = []
-    for key in sorted(rows):
-        coeffs = rows[key]
-        row = [ZERO] * a.dim
-        nonzero = False
-        for col, v in coeffs.items():
-            if not v.is_zero():
-                row[col] = v
-                nonzero = True
-        if nonzero:
-            dense_rows.append(row)
-    raw_basis = nullspace(dense_rows, a.dim)
+    """Solve the twisted-center condition and split the solutions by parity.
 
+    The full twist phi acts on the solutions as the parity; each solution v
+    splits as (v + phi v)/2 + (v - phi v)/2, and the basis of each parity is
+    the reduced echelon form of the span of its parts.
+    """
+    raw_basis = nullspace(_sector_rows(a, sector).values(), a.dim)
     phi = a.full_twist()
-    phi_dense = dense_from_sparse(phi, a.dim)
-    half = CycloNum(1) / CycloNum(2)
-    evens: list[list[CycloNum]] = []
-    odds: list[list[CycloNum]] = []
+    evens: list[SparseRow] = []
+    odds: list[SparseRow] = []
     for vec in raw_basis:
-        phiv = [ZERO] * a.dim
-        for idx, c in enumerate(vec):
-            if c.is_zero():
-                continue
-            row = phi_dense[idx]
-            for b in range(a.dim):
-                if not row[b].is_zero():
-                    phiv[b] = phiv[b] + c * row[b]
-        evens.append([(x + y) * half for x, y in zip(vec, phiv)])
-        odds.append([(x - y) * half for x, y in zip(vec, phiv)])
+        phiv = dict.fromkeys(vec, ZERO)
+        for (x, y), v in phi.items():
+            if x in vec:
+                phiv[y] = phiv.get(y, ZERO) + vec[x] * v
+        # Halving a vector changes no span, so the parts are left unhalved.
+        evens.append({c: vec.get(c, ZERO) + v for c, v in phiv.items()})
+        odds.append({c: vec.get(c, ZERO) - v for c, v in phiv.items()})
 
-    even_basis = _span_basis(evens, a.dim)
-    odd_basis = _span_basis(odds, a.dim)
-    if len(even_basis) + len(odd_basis) != len(raw_basis):
+    even_rows = row_reduce(evens)
+    odd_rows = row_reduce(odds)
+    if len(even_rows) + len(odd_rows) != len(raw_basis):
         raise ValueError(
             "state space is not parity homogeneous; algebra is outside the "
             "graded class this solver supports"
         )
     basis = []
     parities = []
-    for vec in even_basis:
-        basis.append(AlgebraElement(a, tuple(vec)))
-        parities.append(0)
-    for vec in odd_basis:
-        basis.append(AlgebraElement(a, tuple(vec)))
-        parities.append(1)
+    for parity, rows in enumerate((even_rows, odd_rows)):
+        for p in sorted(rows):
+            coeffs = tuple(rows[p].get(c, ZERO) for c in range(a.dim))
+            basis.append(AlgebraElement(a, coeffs))
+            parities.append(parity)
     return StateSpace(sector, tuple(basis), tuple(parities))
-
-
-def _span_basis(vectors, ncols):
-    """Reduced echelon basis of the span of the given vectors."""
-    echelon: list[list[CycloNum]] = []
-    pivots: list[int] = []
-    for vec in vectors:
-        row = list(vec)
-        for erow, p in zip(echelon, pivots):
-            if not row[p].is_zero():
-                f = row[p]
-                row = [x - f * y for x, y in zip(row, erow)]
-        lead = next((c for c in range(ncols) if not row[c].is_zero()), None)
-        if lead is None:
-            continue
-        inv = row[lead].inverse()
-        row = [x * inv for x in row]
-        for i, erow in enumerate(echelon):
-            if not erow[lead].is_zero():
-                f = erow[lead]
-                echelon[i] = [x - f * y for x, y in zip(erow, row)]
-        insert_at = next(
-            (i for i, p in enumerate(pivots) if p > lead), len(pivots)
-        )
-        echelon.insert(insert_at, row)
-        pivots.insert(insert_at, lead)
-    return echelon
 
 
 def projector(a: HalfTwistAlgebra, sector: str) -> LinearBlock:
@@ -307,8 +264,12 @@ def projector(a: HalfTwistAlgebra, sector: str) -> LinearBlock:
     k = space.dim
     if k == 0:
         return LinearBlock(1, 1, {})
-    gram = [[a.inner_product(space.basis[i], space.basis[j]) for j in range(k)] for i in range(k)]
-    gram_inv = mat_invert(gram)
+    gram = {
+        (i, j): a.inner_product(space.basis[i], space.basis[j])
+        for i in range(k)
+        for j in range(k)
+    }
+    gram_inv = mat_invert(gram, k)
     # <v_j, e_x> = sum_c conj((v_j)_c) G_cx with G = star . cap
     gmat = einsum("ac,cb->ab", a.star, a.cap)
     table: dict = {}
@@ -330,8 +291,9 @@ def projector(a: HalfTwistAlgebra, sector: str) -> LinearBlock:
                 if vb.is_zero():
                     continue
                 for j in range(k):
-                    if not pairings[j].is_zero():
-                        tot = tot + vb * gram_inv[i][j] * pairings[j]
+                    g = gram_inv.get((i, j))
+                    if g is not None and not pairings[j].is_zero():
+                        tot = tot + vb * g * pairings[j]
             if not tot.is_zero():
                 table[((x,), (b,))] = tot
     return LinearBlock(1, 1, table)
@@ -405,10 +367,10 @@ def partition_function(a: HalfTwistAlgebra, s: SurfaceSpec) -> CycloNum:
         twists = "id t+ / " * s.data[0]
         return evaluate(parse(f"R 1 / cup / {twists}cap"), a).scalar()
     if s.kind == "torus":
-        op = projector(a, s.data[0])
-        if s.data[1] == "R":
-            op = op.then(_phi_block(a))
-        return _trace(op, a.dim)
+        space = state_space(a, s.data[0])
+        if s.data[1] == "NS":
+            return CycloNum(space.dim)
+        return CycloNum(space.even_dim - space.odd_dim)
     if s.kind in ("klein", "csum"):
         return connect_sum_pf(a, [SurfaceSpec.rp2(k) for k in s.data])
     raise ValueError(f"unknown surface kind {s.kind!r}")

@@ -29,6 +29,12 @@ def test_partition_with_alpha_flag():
     assert "Z = 2 + 0*z + 0*z^2 + 0*z^3" in text
 
 
+def test_torus_at_negative_alpha():
+    code, text = run("--format", "kv", "partition", "cl(1,0)@alpha=-1", "torus:r,r")
+    assert code == 0
+    assert "Z = -1 + 0*z + 0*z^2 + 0*z^3" in text
+
+
 def test_classify():
     code, text = run("classify", "cl(3,0)")
     assert code == 0
@@ -46,6 +52,8 @@ def test_check_pass_and_fail():
     code, text = run("check", "cl(1,0)@alpha=-1")
     assert code == 1
     assert "positive_definite" in text and "FAIL" in text
+    # a failure without witness values prints no lhs/rhs in text form
+    assert "FAIL  witness=()\n" in text and "lhs=None" not in text
     # a failure without witness values renders in kv form too
     code, text = run("--format", "kv", "check", "cl(1,0)@alpha=-1")
     assert code == 1

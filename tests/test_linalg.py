@@ -8,7 +8,18 @@ import pytest
 import halftwist
 from halftwist import linalg
 from halftwist.cyclo import ONE, ZERO, CycloNum
-from halftwist.linalg import CELL_CEILING, ContractionTooLarge, einsum
+from halftwist.linalg import (
+    CELL_CEILING,
+    ContractionTooLarge,
+    InconsistentSystemError,
+    SingularMatrixError,
+    delta,
+    einsum,
+    linear_solve,
+    mat_invert,
+    nullspace,
+    row_reduce,
+)
 from conftest import algebra
 
 
@@ -149,3 +160,131 @@ def test_ceiling_stops_oversize_join_before_building(monkeypatch):
     with pytest.raises(ContractionTooLarge, match=rf"'ab,bc->ac'.*{n * n} terms"):
         einsum("ab,bc->ac", left, right)
 
+
+
+# -- the elimination kernel --------------------------------------------------
+
+
+def random_rows(rng, nrows, ncols, density):
+    """Sparse rows over Q(zeta_8), some of them combinations of others, so
+    that ranks below min(nrows, ncols) occur."""
+    table = random_tensor(rng, 2, max(nrows, ncols), density)
+    rows = [{c: v for (r, c), v in table.items() if r == i and c < ncols} for i in range(nrows)]
+    if nrows > 2 and rng.random() < 0.5:
+        f = CycloNum(rng.randint(1, 3), rng.randint(-2, 2))
+        rows[-1] = dict(rows[0])
+        for c, v in rows[1].items():
+            rows[-1][c] = rows[-1].get(c, ZERO) + f * v
+    return rows
+
+
+def dot(row, vec):
+    total = ZERO
+    for c, v in row.items():
+        total = total + v * vec.get(c, ZERO)
+    return total
+
+
+CASES = [(seed, 1 + seed % 6, 1 + (seed * 7) % 6) for seed in range(40)]
+
+
+@pytest.mark.parametrize("seed,nrows,ncols", CASES)
+def test_row_reduce_is_reduced_and_spans_the_rows(seed, nrows, ncols):
+    rng = random.Random(seed)
+    rows = random_rows(rng, nrows, ncols, 0.5)
+    reduced = row_reduce(rows)
+    for p, prow in reduced.items():
+        assert prow[p] == ONE
+        assert min(prow) == p
+        assert not any(q in prow for q in reduced if q != p)
+        assert not any(v.is_zero() for v in prow.values())
+    # Each input row is the combination of pivot rows read off its pivots.
+    for row in rows:
+        combo = {}
+        for p, prow in reduced.items():
+            for c, v in prow.items():
+                combo[c] = combo.get(c, ZERO) + row.get(p, ZERO) * v
+        assert {c: v for c, v in combo.items() if not v.is_zero()} == {
+            c: v for c, v in row.items() if not v.is_zero()
+        }
+
+
+@pytest.mark.parametrize("seed,nrows,ncols", CASES)
+def test_nullspace_annihilates_rows_with_full_nullity(seed, nrows, ncols):
+    rows = random_rows(random.Random(seed), nrows, ncols, 0.5)
+    basis = nullspace(rows, ncols)
+    assert len(basis) == ncols - len(row_reduce(rows))
+    assert len(row_reduce(basis)) == len(basis)
+    for vec in basis:
+        assert all(dot(row, vec).is_zero() for row in rows)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_mat_invert_gives_identity(seed):
+    rng = random.Random(seed)
+    n = 1 + seed % 6
+    m = random_tensor(rng, 2, n, 0.6)
+    m.update({(i, i): ONE for i in range(n) if (i, i) not in m})
+    if seed % 3 == 0:
+        # Repeat the first row as the last: singular from n = 2 on.
+        m = {(r, c): v for (r, c), v in m.items() if r != n - 1}
+        m.update({(n - 1, c): v for (r, c), v in m.items() if r == 0})
+    rank = len(row_reduce({c: v for (r, c), v in m.items() if r == i} for i in range(n)))
+    if rank < n:
+        with pytest.raises(SingularMatrixError):
+            mat_invert(m, n)
+        return
+    inv = mat_invert(m, n)
+    assert einsum("ab,bc->ac", m, inv) == delta(n)
+    assert einsum("ab,bc->ac", inv, m) == delta(n)
+
+
+def test_mat_invert_rejects_singular():
+    with pytest.raises(SingularMatrixError):
+        mat_invert({(0, 0): ONE, (0, 1): ONE, (1, 0): ONE, (1, 1): ONE}, 2)
+    with pytest.raises(SingularMatrixError):
+        mat_invert({(0, 0): ONE}, 2)
+
+
+@pytest.mark.parametrize("seed,nrows,ncols", CASES)
+def test_linear_solve_satisfies_its_rows(seed, nrows, ncols):
+    rng = random.Random(seed)
+    rows = random_rows(rng, nrows, ncols, 0.5)
+    x0 = {c: v for (c,), v in random_tensor(rng, 1, ncols, 0.7).items()}
+    system = [(row, dot(row, x0)) for row in rows]
+    x = dict(enumerate(linear_solve(system, ncols)))
+    assert all(dot(row, x) == rhs for row, rhs in system)
+    # One more row, a sum of two others with its right side moved off.
+    if nrows > 1:
+        bad = dict(rows[0])
+        for c, v in rows[1].items():
+            bad[c] = bad.get(c, ZERO) + v
+        extra = (bad, system[0][1] + system[1][1] + ONE)
+        with pytest.raises(InconsistentSystemError):
+            linear_solve(system + [extra], ncols)
+
+
+def test_linear_solve_rejects_a_zero_row_with_nonzero_right_side():
+    with pytest.raises(InconsistentSystemError):
+        linear_solve([({0: ONE}, ONE), ({}, ONE)], 1)
+
+
+@pytest.mark.parametrize("seed,nrows,ncols", CASES)
+def test_results_do_not_depend_on_row_order(seed, nrows, ncols):
+    rng = random.Random(seed)
+    rows = random_rows(rng, nrows, ncols, 0.5)
+    system = [(row, CycloNum(rng.randint(-2, 2))) for row in rows]
+    shuffled = rows[:]
+    rng.shuffle(shuffled)
+    assert row_reduce(shuffled) == row_reduce(rows)
+    assert nullspace(shuffled, ncols) == nullspace(rows, ncols)
+    try:
+        want = linear_solve(system, ncols)
+    except InconsistentSystemError:
+        want = None
+    rng.shuffle(system)
+    try:
+        got = linear_solve(system, ncols)
+    except InconsistentSystemError:
+        got = None
+    assert got == want

@@ -13,7 +13,6 @@ from halftwist import (
     evaluate,
     expand_left_twists,
     parse,
-    validate,
     zeta_pow,
 )
 from halftwist.ribbon import DiagramError
@@ -26,16 +25,16 @@ def test_parse_projective_plane():
     d = parse(RP2_TEXT)
     assert d.r_power == 1
     assert d.bottom == 0
-    assert validate(d) == (0, 0)
+    assert d.validate() == (0, 0)
     assert d.ops == (("cup", 0), ("t+", 1), ("cap", 0))
 
 
 def test_parse_empty_and_identity():
     empty = parse("")
-    assert validate(empty) == (0, 0)
+    assert empty.validate() == (0, 0)
     assert evaluate(empty, algebra("cl(1,0)")).scalar() == ONE
     ident = parse("bottom 2\nid id")
-    assert validate(ident) == (2, 2)
+    assert ident.validate() == (2, 2)
     assert evaluate(ident, algebra("cl(1,0)")) == LinearBlock.identity(2, 2)
 
 
@@ -56,13 +55,13 @@ def test_parse_errors_carry_position():
 def test_validate_rejects_bad_programmatic_ops():
     d = RibbonDiagram(1, (("cap", 0),))
     with pytest.raises(DiagramError, match="needs 2"):
-        validate(d)
+        d.validate()
     d = RibbonDiagram(0, (("cup", 1),))
     with pytest.raises(DiagramError):
-        validate(d)
+        d.validate()
     d = RibbonDiagram(1, (("t+", -1),))
     with pytest.raises(DiagramError, match="negative"):
-        validate(d)
+        d.validate()
 
 
 def test_projective_plane_values():
@@ -140,7 +139,7 @@ def test_projector_absorption_shape():
     d = parse("R 1\nbottom 1\nt+")
     dd = compose(d, d)
     assert dd.r_power == 2
-    assert validate(dd) == (1, 1)
+    assert dd.validate() == (1, 1)
 
 
 def test_evaluate_matches_block_composition():

@@ -148,8 +148,20 @@ def test_torus_values_clifford():
         assert partition_function(a, SurfaceSpec.torus(e1, e2)) == value
 
 
+def test_torus_values_need_no_star():
+    a = algebra("cl(1,0)")
+    no_star = custom_from_tensors(
+        a.node, a.cap, a.cup, a.crossing, a.twist, a.vertex_weight, a.parity
+    )
+    assert no_star.star is None
+    for e1, e2 in (("NS", "NS"), ("NS", "R"), ("R", "NS"), ("R", "R")):
+        s = SurfaceSpec.torus(e1, e2)
+        assert partition_function(no_star, s) == partition_function(a, s)
+        assert partition_function(no_star, s) == abk(surface_presentation(s))
+
+
 def test_oracle_equality_with_euler_weight():
-    for alpha in (ONE, SQRT2):
+    for alpha in (ONE, SQRT2, -ONE, CycloNum(1) / CycloNum(3)):
         a = build_clifford_real(1, 0, alpha)
         for s in LIBRARY_SURFACES:
             p = surface_presentation(s)
