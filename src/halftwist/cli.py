@@ -85,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _algebra(args, spec: str):
-    alpha = CycloNum.parse(args.alpha) if args.alpha else None
+    alpha = None if args.alpha is None else CycloNum.parse(args.alpha)
     return parse_algebra(spec, default_alpha=alpha)
 
 

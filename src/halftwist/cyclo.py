@@ -328,7 +328,10 @@ def _parse_term(tokens, pos, text):
     power = 0
     tok = tokens[pos]
     if tok not in ("z", "^", "*", "+", "-"):
-        coeff = Fraction(tok)
+        try:
+            coeff = Fraction(tok)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in cyclotomic literal {text!r}") from None
         pos += 1
         if pos < len(tokens) and tokens[pos] == "*":
             pos += 1

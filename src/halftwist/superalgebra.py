@@ -855,7 +855,7 @@ class _SpecParser:
         node = self.expr()
         if self.peek() is not None:
             raise ValueError(f"trailing tokens in algebra spec: {self.peek()!r}")
-        return self.build(node, None)
+        return self.build(node, self.default_alpha)
 
     def expr(self):
         node = self.term()
@@ -874,7 +874,7 @@ class _SpecParser:
     def factor(self):
         tok = self.take()
         if tok[0] in ("cl", "clc", "mat"):
-            node = ("atom", tok, None)
+            node = ("atom", tok)
         elif tok == ("(",):
             inner = self.expr()
             if self.take() != (")",):
@@ -888,17 +888,16 @@ class _SpecParser:
             node = ("set_alpha", node, nxt[1])
         return node
 
-    def build(self, node, inherited):
+    def build(self, node, alpha):
         kind = node[0]
         if kind == "set_alpha":
             return self.build(node[1], node[2])
         if kind == "sum":
-            return direct_sum(self.build(node[1], inherited), self.build(node[2], inherited))
+            return direct_sum(self.build(node[1], alpha), self.build(node[2], alpha))
         if kind == "prod":
-            return supertensor(self.build(node[1], inherited), self.build(node[2], inherited))
+            return supertensor(self.build(node[1], alpha), self.build(node[2], alpha))
         assert kind == "atom"
-        _, tok, own = node
-        alpha = own or inherited or self.default_alpha or ONE
+        tok = node[1]
         if tok[0] == "cl":
             return build_clifford_real(tok[1], tok[2], alpha)
         if tok[0] == "clc":
@@ -911,8 +910,7 @@ def parse_algebra(text: str, default_alpha=None) -> HalfTwistAlgebra:
     tokens = _tokenize_spec(text)
     if not tokens:
         raise ValueError("empty algebra spec")
-    if default_alpha is not None:
-        default_alpha = CycloNum.coerce(default_alpha)
+    default_alpha = ONE if default_alpha is None else CycloNum.coerce(default_alpha)
     return _SpecParser(tokens, default_alpha).parse()
 
 

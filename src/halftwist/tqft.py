@@ -18,10 +18,10 @@ Closed surfaces are evaluated three ways, all exact:
 and every value can be cross-checked against the Gauss-sum oracle in pingeo.
 A torus is the trace over the circle state space V_e of its first cycle,
 twisted by the parity when the second cycle is R: Z(e, NS) = dim V_e and
-Z(e, R) = sdim V_e = dim V_e^even - dim V_e^odd.  That needs neither a star
-structure nor a positive alpha.  Projectors onto the state spaces, which
-handle_state uses, are orthogonal with respect to the inner product
-<x, y> = eta(star x, y) and do need both.
+Z(e, R) = sdim V_e = dim V_e^even - dim V_e^odd.  The projector onto V_e is
+the state-sum cylinder map, and a handle state caps off its trace.  All of
+this is built from the state-sum tensors alone: nothing here needs a star
+structure or a positive alpha.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cyclo import CycloNum, ZERO, zeta_pow, real_sqrt
-from .linalg import SparseRow, SparseTensor, einsum, mat_invert, nullspace, row_reduce
+from .linalg import SparseRow, SparseTensor, einsum, nullspace, row_reduce
 from .pingeo import PinSurfacePresentation
 from .ribbon import LinearBlock, evaluate, parse
 from .superalgebra import AlgebraElement, HalfTwistAlgebra
@@ -247,71 +247,35 @@ def state_space(a: HalfTwistAlgebra, sector: str) -> StateSpace:
     return StateSpace(sector, tuple(basis), tuple(parities))
 
 
+def _projector_tensor(a: HalfTwistAlgebra, sector: str) -> SparseTensor:
+    """P_e as a sparse matrix: entry (x, y) is the e_y coefficient of P_e(e_x)."""
+    if sector not in SECTORS:
+        raise ValueError(f"unknown sector {sector!r} (expected NS or R)")
+    cup = a.cup if sector == "NS" else einsum("ab,bp->ap", a.cup, a.full_twist())
+    product = a.product_tensor()
+    table = einsum("ab,bxcd,cdf,afy->xy", cup, a.crossing, product, product)
+    r = a.vertex_weight
+    return {key: r * v for key, v in table.items()}
+
+
 def projector(a: HalfTwistAlgebra, sector: str) -> LinearBlock:
-    """Orthogonal projection onto the sector state space, as a 1 -> 1 block.
+    """Projection onto the sector state space, as a 1 -> 1 block.
 
-    Needs the star structure and a positive alpha; the Gram matrix of the
-    state-space basis is inverted exactly.
+    This is the cylinder map of the state sum (Fukuma-Hosono-Kawai for
+    lattice TFT, Barrett-Tavares for spin state sums):
+
+        P_e(x) = R sum_ab B^ab e_a . m(crossing(e'_b (x) x)),
+
+    with e'_b = e_b for NS and phi(e_b) for R.  The graded sign comes from
+    the crossing, not from the parities.  P_e fixes every state and its
+    image is the state space, so it is idempotent with trace dim V_e.  It
+    needs no star map and no positive alpha; for the constructor algebras
+    at positive alpha it is the orthogonal projection for the inner product
+    <x, y> = eta(star x, y).
     """
-    if a.star is None:
-        raise ValueError("projector needs the star tensor")
-    if not a.alpha.is_real_positive():
-        raise ValueError(
-            "orthogonal projection needs a positive real alpha; "
-            f"got {a.alpha!r}"
-        )
-    space = state_space(a, sector)
-    k = space.dim
-    if k == 0:
-        return LinearBlock(1, 1, {})
-    gram = {
-        (i, j): a.inner_product(space.basis[i], space.basis[j])
-        for i in range(k)
-        for j in range(k)
-    }
-    gram_inv = mat_invert(gram, k)
-    # <v_j, e_x> = sum_c conj((v_j)_c) G_cx with G = star . cap
-    gmat = einsum("ac,cb->ab", a.star, a.cap)
-    table: dict = {}
-    for x in range(a.dim):
-        pairings = []
-        for j in range(k):
-            tot = ZERO
-            for c, vc in enumerate(space.basis[j].coeffs):
-                if vc.is_zero():
-                    continue
-                g = gmat.get((c, x))
-                if g is not None:
-                    tot = tot + vc.conjugate() * g
-            pairings.append(tot)
-        for b in range(a.dim):
-            tot = ZERO
-            for i in range(k):
-                vb = space.basis[i].coeffs[b]
-                if vb.is_zero():
-                    continue
-                for j in range(k):
-                    g = gram_inv.get((i, j))
-                    if g is not None and not pairings[j].is_zero():
-                        tot = tot + vb * g * pairings[j]
-            if not tot.is_zero():
-                table[((x,), (b,))] = tot
-    return LinearBlock(1, 1, table)
-
-
-def _phi_block(a: HalfTwistAlgebra) -> LinearBlock:
     return LinearBlock(
-        1, 1, {((x,), (y,)): v for (x, y), v in a.full_twist().items()}
+        1, 1, {((x,), (y,)): v for (x, y), v in _projector_tensor(a, sector).items()}
     )
-
-
-def _trace(block: LinearBlock, dim: int) -> CycloNum:
-    total = ZERO
-    for x in range(dim):
-        v = block.table.get(((x,), (x,)))
-        if v is not None:
-            total = total + v
-    return total
 
 
 def moebius_state(a: HalfTwistAlgebra, k: int) -> AlgebraElement:
@@ -331,31 +295,26 @@ def moebius_state(a: HalfTwistAlgebra, k: int) -> AlgebraElement:
 def handle_state(a: HalfTwistAlgebra, e1: str, e2: str) -> AlgebraElement:
     """The capped-off handle for a torus with cycles of types e1, e2.
 
-    Derived from the trace form of the torus value by cyclicity: the trace
-    of an operator O equals the counit of sum_ab B^ab O(e_b) e_a, so dividing
-    by the vertex weight gives an element whose capped closure reproduces the
-    torus.  Only provided for constructor-built algebras.
+    The torus value is the trace of O = P_e1, followed by phi when e2 is R.
+    By cyclicity that trace is the counit of sum_ab B^ab O(e_b) e_a, so
+    dividing by the vertex weight gives an element whose capped closure
+    reproduces the torus; the closure is checked against the trace.
     """
-    if a.spec is None:
-        raise ValueError("handle state outside validated family")
     e1, e2 = e1.upper(), e2.upper()
-    op = projector(a, e1)
-    if e2 == "R":
-        op = op.then(_phi_block(a))
-    elif e2 != "NS":
+    if e2 not in SECTORS:
         raise ValueError("torus cycles must be NS or R")
-    op_sparse: SparseTensor = {
-        (x, y): v for ((x,), (y,)), v in op.table.items()
-    }
-    vec = einsum("ab,by,yax->x", a.cup, op_sparse, a.product_tensor())
+    op = _projector_tensor(a, e1)
+    if e2 == "R":
+        op = einsum("xz,zy->xy", op, a.full_twist())
+    vec = einsum("ab,by,yax->x", a.cup, op, a.product_tensor())
     inv_r = a.vertex_weight.inverse()
     coeffs = [ZERO] * a.dim
     for (x,), v in vec.items():
         coeffs[x] = v * inv_r
     h = AlgebraElement(a, tuple(coeffs))
-    closure = a.vertex_weight * a.counit(h)
-    if closure != _trace(op, a.dim):
-        raise ValueError("handle state outside validated family")
+    trace = sum((op.get((x, x), ZERO) for x in range(a.dim)), start=ZERO)
+    if a.vertex_weight * a.counit(h) != trace:
+        raise ValueError("handle state closure does not match the torus trace")
     return h
 
 

@@ -5,6 +5,7 @@ Each test prints one PASS/FAIL line so the suite doubles as a checklist:
     pytest tests/test_acceptance.py -v -s
 """
 
+import itertools
 import random
 from contextlib import contextmanager
 
@@ -24,6 +25,7 @@ from halftwist import (
     check_all_axioms,
     classify_invertible,
     compose,
+    connect_sum_pf,
     custom_from_tensors,
     evaluate,
     expand_left_twists,
@@ -38,7 +40,12 @@ from halftwist import (
     zeta_pow,
 )
 from halftwist.pingeo import PinSurfacePresentation
-from conftest import algebra, random_diagram
+from conftest import (
+    AXIOM_SUITE_SPECS,
+    algebra,
+    assert_projects_onto_state_space,
+    random_diagram,
+)
 
 
 @contextmanager
@@ -49,24 +56,6 @@ def criterion(number, description):
         print(f"ACCEPTANCE {number}: {description} ... FAIL")
         raise
     print(f"ACCEPTANCE {number}: {description} ... PASS")
-
-
-AXIOM_SUITE_SPECS = tuple(
-    f"cl({p},{q})" for total in range(5) for p in range(total + 1) for q in [total - p]
-) + (
-    "clc(0)",
-    "clc(1)",
-    "clc(2)",
-    "mat(1|1)",
-    "mat(2|1)",
-    "cl(1,0) (x) cl(0,1)",
-    "cl(1,0) (x) mat(1|1)",
-    "clc(1) (x) cl(1,0)",
-    "cl(2,0) (x) cl(2,0)",
-    "cl(1,0) (+) cl(1,0)",
-    "cl(1,0) (+) cl(0,1)",
-    "cl(2,0) (+) mat(2|0)",
-)
 
 
 def _mutant(base, attr, key, value):
@@ -144,8 +133,29 @@ def test_criterion_2_projective_plane_golden_values():
                 assert partition_function(m, SurfaceSpec.rp2(1)) == alpha, (p, q)
 
 
+def _small_presentations():
+    """The 35 presentations with genus <= 1 and at most two crosscaps."""
+    out = []
+    for g in range(2):
+        for c in range(3):
+            for tq in itertools.product(((0, 0), (0, 2), (2, 0), (2, 2)), repeat=g):
+                for cq in itertools.product((1, 3), repeat=c):
+                    out.append(PinSurfacePresentation(tq, cq))
+    return out
+
+
+def _summands(p):
+    """Connect-sum summands of a presentation; torus q = 0 is NS, 2 is R."""
+    tori = [
+        SurfaceSpec.torus(*("NS" if q == 0 else "R" for q in pair))
+        for pair in p.torus_q
+    ]
+    return tori + [SurfaceSpec.rp2(k) for k in p.crosscap_q]
+
+
 def test_criterion_3_oracle_equivalence():
-    with criterion(3, "state sum equals the Euler-weighted Gauss sum on 11 classes"):
+    with criterion(3, "state sum equals the Euler-weighted Gauss sum on 11 classes "
+                   "and on 35 connect sums at four alphas"):
         for alpha in (ONE, SQRT2):
             a = build_clifford_real(1, 0, alpha)
             assert len(LIBRARY_SURFACES) == 11
@@ -153,6 +163,23 @@ def test_criterion_3_oracle_equivalence():
                 presentation = surface_presentation(s)
                 expected = alpha ** presentation.euler_characteristic * abk(presentation)
                 assert partition_function(a, s) == expected, s.render()
+
+        presentations = _small_presentations()
+        assert len(presentations) == 35
+        for alpha in (ONE, -ONE, SQRT2, CycloNum(1) / CycloNum(3)):
+            for k in range(4):
+                a = build_clifford_real(k, 0, alpha)
+                for p in presentations:
+                    expected = alpha ** p.euler_characteristic * abk(p) ** k
+                    assert connect_sum_pf(a, _summands(p)) == expected, (k, alpha, p)
+
+        parts = [algebra("cl(1,0)@alpha=-1"), algebra("cl(0,1)@alpha=-1")]
+        total = algebra("(cl(1,0) (+) cl(0,1))@alpha=-1")
+        for p in presentations:
+            summands = _summands(p)
+            assert connect_sum_pf(total, summands) == sum(
+                (connect_sum_pf(part, summands) for part in parts), start=ZERO
+            ), p
 
 
 def test_criterion_4_gauss_sum_tables():
@@ -165,8 +192,6 @@ def test_criterion_4_gauss_sum_tables():
         klein = {(1, 1): I, (1, 3): ONE, (3, 1): ONE, (3, 3): -I}
         for pair, want in klein.items():
             assert abk(PinSurfacePresentation((), pair)) == want
-
-        import itertools
 
         count = 0
         for g in range(6):
@@ -208,20 +233,8 @@ def test_criterion_6_state_spaces_and_projectors():
         assert ns.basis[0] == a.unit()
         assert r.as_supervector() == (0, 1)
         assert r.basis[0] == a.basis_element(1)
-        for sector, space in (("NS", ns), ("R", r)):
-            block = projector(a, sector)
-            assert block.then(block) == block
-            # fixed points are exactly the state space
-            for v in space.basis:
-                image = [ZERO] * a.dim
-                for ((x,), (y,)), w in block.table.items():
-                    image[y] = image[y] + v.coeffs[x] * w
-                assert a.element(image) == v
-            trace = sum(
-                (block.table.get(((x,), (x,)), ZERO) for x in range(a.dim)),
-                start=ZERO,
-            )
-            assert trace == CycloNum(space.dim)
+        for sector in ("NS", "R"):
+            assert_projects_onto_state_space(a, sector)
 
 
 def test_criterion_7_stacking_and_morita():

@@ -1,5 +1,7 @@
 import io
 
+import pytest
+
 from halftwist.cli import main
 
 
@@ -104,6 +106,24 @@ def test_usage_errors_exit_two():
     assert code == 2
     code, _ = run("frobnicate")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("partition", "cl(1,0)@alpha=0", "sphere"),
+        ("--alpha", "0", "partition", "cl(1,0)", "sphere"),
+        ("--alpha", "1/0", "partition", "cl(1,0)", "sphere"),
+        ("partition", "cl(1,0)@alpha=2/0", "sphere"),
+        ("--alpha", "", "partition", "cl(1,0)", "sphere"),
+    ],
+)
+def test_bad_alpha_exits_two(argv, capsys):
+    code, text = run(*argv)
+    assert code == 2 and text == ""
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert any(word in err for word in ("nonzero", "zero denominator", "empty"))
 
 
 def test_output_is_deterministic():

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -129,6 +130,12 @@ def test_parse_literals(text, value):
 @pytest.mark.parametrize("bad", ["", "z^-1", "1 +", "q", "2 3", "1/2/3"])
 def test_parse_rejects(bad):
     with pytest.raises(ValueError):
+        CycloNum.parse(bad)
+
+
+@pytest.mark.parametrize("bad", ["1/0", "2/0*z", "1 + 3/0*z^2"])
+def test_parse_rejects_zero_denominator(bad):
+    with pytest.raises(ValueError, match="zero denominator.*" + re.escape(repr(bad))):
         CycloNum.parse(bad)
 
 

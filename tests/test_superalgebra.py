@@ -307,10 +307,20 @@ def test_parse_algebra_grammar():
     assert parse_algebra("cl(1,0)", default_alpha=SQRT2).alpha == SQRT2
 
 
-@pytest.mark.parametrize("bad", ["", "cl(1)", "cl(1,0) (+)", "wat", "cl(1,0)))"])
+@pytest.mark.parametrize(
+    "bad",
+    ["", "cl(1)", "cl(1,0) (+)", "wat", "cl(1,0)))", "cl(1,0)@alpha=0",
+     "(cl(1,0) (+) cl(0,1))@alpha=0", "cl(1,0)@alpha=2/0"],
+)
 def test_parse_algebra_rejects(bad):
     with pytest.raises(ValueError):
         parse_algebra(bad)
+
+
+def test_algebra_from_text_rejects_zero_denominator():
+    text = algebra_to_text(algebra("cl(1,0)")).replace("alpha 1", "alpha 1/0")
+    with pytest.raises(ValueError, match="line 2: zero denominator"):
+        algebra_from_text(text)
 
 
 def test_serialization_round_trip():

@@ -25,7 +25,7 @@ from halftwist import (
     surface_presentation,
     zeta_pow,
 )
-from conftest import algebra
+from conftest import AXIOM_SUITE_SPECS, algebra, assert_projects_onto_state_space
 
 
 def test_state_spaces_clifford():
@@ -114,19 +114,48 @@ def test_projector_matrix_rank_one():
     assert a.element(image) == u
 
 
-def test_projector_requires_positive_alpha():
-    bad = build_clifford_real(1, 0, -ONE)
-    with pytest.raises(ValueError, match="positive"):
-        projector(bad, "NS")
+PROJECTOR_SPECS = ("cl(1,0)", "cl(2,1)", "mat(1|1)", "clc(1)")
 
 
-def test_projector_requires_star():
-    a = algebra("cl(1,0)")
-    no_star = custom_from_tensors(
-        a.node, a.cap, a.cup, a.crossing, a.twist, a.vertex_weight, a.parity
-    )
-    with pytest.raises(ValueError, match="star"):
-        projector(no_star, "NS")
+def test_projector_at_negative_alpha():
+    for spec in PROJECTOR_SPECS:
+        for sector in ("NS", "R"):
+            assert_projects_onto_state_space(algebra(spec, "-1"), sector)
+
+
+def test_projector_needs_no_star():
+    for spec in PROJECTOR_SPECS:
+        a = algebra(spec)
+        no_star = custom_from_tensors(
+            a.node, a.cap, a.cup, a.crossing, a.twist, a.vertex_weight, a.parity
+        )
+        assert no_star.star is None
+        for sector in ("NS", "R"):
+            assert_projects_onto_state_space(no_star, sector)
+
+
+def test_projector_is_self_adjoint():
+    # A self-adjoint idempotent is the orthogonal projection onto its image,
+    # so the cylinder map equals the projection built from a Gram matrix.
+    checked = 0
+    for spec in AXIOM_SUITE_SPECS:
+        for alpha in ("1", "z-z^3"):
+            a = algebra(spec, alpha)
+            if a.dim > 8:
+                continue
+            for sector in ("NS", "R"):
+                assert_projects_onto_state_space(a, sector)
+                images = [a.element([ZERO] * a.dim) for _ in range(a.dim)]
+                for ((x,), (y,)), w in projector(a, sector).table.items():
+                    images[x] = images[x] + w * a.basis_element(y)
+                for x in range(a.dim):
+                    e_x = a.basis_element(x)
+                    for y in range(a.dim):
+                        e_y = a.basis_element(y)
+                        lhs = a.inner_product(images[x], e_y)
+                        assert lhs == a.inner_product(e_x, images[y]), (spec, alpha, sector, x, y)
+                checked += 1
+    assert checked == 2 * 2 * 20  # 20 specs of dim <= 8
 
 
 def test_projective_plane_values_small():
@@ -208,14 +237,16 @@ def test_handle_states():
     assert b.vertex_weight * b.counit(handle_state(b, "R", "R")) == ONE
 
 
-def test_handle_state_needs_constructor_provenance():
+def test_handle_state_needs_no_constructor_provenance():
     a = algebra("cl(1,0)")
     anonymous = custom_from_tensors(
         a.node, a.cap, a.cup, a.crossing, a.twist, a.vertex_weight,
         a.parity, alpha=a.alpha, star=a.star,
     )
-    with pytest.raises(ValueError, match="outside validated family"):
-        handle_state(anonymous, "NS", "NS")
+    assert anonymous.spec is None
+    for e1 in ("NS", "R"):
+        for e2 in ("NS", "R"):
+            assert handle_state(anonymous, e1, e2).coeffs == handle_state(a, e1, e2).coeffs
 
 
 def test_connect_sums_against_oracle():
