@@ -8,9 +8,9 @@ from the projective-plane value.
 
 from halftwist import (
     LIBRARY_SURFACES,
-    SurfaceSpec,
     classify_invertible,
     parse_algebra,
+    parse_surface,
     partition_function,
     stacking_check,
     supertensor,
@@ -26,7 +26,7 @@ print("The invertible ladder: one class per signature mod 8.")
 for n in range(8):
     alg = parse_algebra(f"cl({n},0)")
     result = classify_invertible(alg)
-    z = partition_function(alg, SurfaceSpec.rp2(1))
+    z = partition_function(alg, parse_surface("rp2:1"))
     print(f"  cl({n},0): dim {alg.dim:3d}   Z(rp2:1) = {z!r:>8}   {result.render()}")
 
 print()
@@ -48,5 +48,5 @@ a = parse_algebra("cl(1,0)")
 b = parse_algebra("cl(0,1)")
 s = parse_algebra("cl(1,0) (+) cl(0,1)")
 for surf in LIBRARY_SURFACES[:4]:
-    za, zb, zs = (partition_function(x, surf) for x in (a, b, s))
-    print(f"  {surf.render():12s} {za!r} + {zb!r} = {zs!r}")
+    za, zb, zs = (partition_function(x, parse_surface(surf)) for x in (a, b, s))
+    print(f"  {surf:12s} {za!r} + {zb!r} = {zs!r}")

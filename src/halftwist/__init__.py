@@ -56,7 +56,6 @@ from .pingeo import (
 )
 from .tqft import (
     StateSpace,
-    SurfaceSpec,
     ClassifyResult,
     StackingReport,
     LIBRARY_SURFACES,
@@ -69,7 +68,6 @@ from .tqft import (
     classify_invertible,
     stacking_check,
     parse_surface,
-    surface_presentation,
 )
 
 __version__ = "0.1.0"

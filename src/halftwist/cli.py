@@ -11,7 +11,10 @@ Subcommands:
     stack <algA> <algB> <surface..> stacking multiplicativity report
 
 Algebra specs use the grammar cl(p,q) | clc(n) | mat(p|q) combined with (+)
-and (x), with an optional @alpha=<literal> suffix.  Output is deterministic;
+and (x), with an optional @alpha=<literal> suffix.  A surface is a library
+name (sphere, rp2:k, torus:e1,e2, klein:k,l, csum:k,..) or a presentation
+literal g=..,c=..,q=[..]; output names it lowercased and without
+whitespace.  Output is deterministic;
 --format kv switches to flat "key = value" lines.  Exit codes: 0 success,
 1 failed check, 2 usage error.
 """
@@ -128,19 +131,23 @@ def _cmd_eval(args, out) -> int:
     return 0
 
 
+def _surface_name(text: str) -> str:
+    return "".join(text.split()).lower()
+
+
 def _cmd_partition(args, out) -> int:
     algebra = _algebra(args, args.algebra)
-    surface = parse_surface(args.surface)
-    z = partition_function(algebra, surface)
+    surface = _surface_name(args.surface)
+    z = partition_function(algebra, parse_surface(surface))
     label = _root_label(z)
     if args.format == "kv":
         out.write(f"algebra = {args.algebra}\n")
-        out.write(f"surface = {surface.render()}\n")
+        out.write(f"surface = {surface}\n")
         out.write(f"Z = {z.render()}\n")
         out.write(f"Z.decimal = {_decimal(z)}\n")
         out.write(f"Z.label = {label or '-'}\n")
     else:
-        out.write(f"Z({surface.render()}) over {args.algebra} = {z!r}\n")
+        out.write(f"Z({surface}) over {args.algebra} = {z!r}\n")
         out.write(f"  decimal: {_decimal(z)}\n")
         if label:
             out.write(f"  matches: {label}\n")
@@ -200,7 +207,7 @@ def _cmd_classify(args, out) -> int:
 def _cmd_stack(args, out) -> int:
     algebra_a = _algebra(args, args.algebra_a)
     algebra_b = _algebra(args, args.algebra_b)
-    surfaces = [parse_surface(s) for s in args.surfaces]
+    surfaces = [_surface_name(s) for s in args.surfaces]
     report = stacking_check(algebra_a, algebra_b, surfaces)
     if args.format == "kv":
         for name, za, zb, zt, ok in report.surface_rows:

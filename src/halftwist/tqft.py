@@ -9,11 +9,13 @@ solved exactly as linear systems; for algebras built by the superalgebra
 constructors it is enough to let b run over a stored generating set, since
 the defining condition propagates over products of homogeneous generators.
 
-Closed surfaces are evaluated three ways, all exact:
+A closed pin surface is a `PinSurfacePresentation`: a connect sum of g tori
+and c crosscaps with the q-values of its basis cycles.  The partition
+function picks its exact route from (g, c):
 
-    sphere, projective planes   by ribbon diagram
-    tori                        by the (super)dimension of a state space
-    crosscap sums, Klein        by multiplying capped-off states in the algebra
+    (0, 0), (0, 1)   sphere, projective planes   by ribbon diagram
+    (1, 0)           tori                        by a state space (super)dimension
+    anything else    connect sums                by multiplying capped-off states
 
 and every value can be cross-checked against the Gauss-sum oracle in pingeo.
 A torus is the trace over the circle state space V_e of its first cycle,
@@ -30,13 +32,12 @@ from dataclasses import dataclass
 
 from .cyclo import CycloNum, ZERO, zeta_pow, real_sqrt
 from .linalg import SparseRow, SparseTensor, einsum, nullspace, row_reduce
-from .pingeo import PinSurfacePresentation
+from .pingeo import PinSurfacePresentation, parse_presentation
 from .ribbon import LinearBlock, evaluate, parse
 from .superalgebra import AlgebraElement, HalfTwistAlgebra
 
 __all__ = [
     "StateSpace",
-    "SurfaceSpec",
     "ClassifyResult",
     "StackingReport",
     "LIBRARY_SURFACES",
@@ -49,7 +50,6 @@ __all__ = [
     "classify_invertible",
     "stacking_check",
     "parse_surface",
-    "surface_presentation",
 ]
 
 SECTORS = ("NS", "R")
@@ -83,108 +83,37 @@ class StateSpace:
         return f"StateSpace({self.sector}, C^({self.even_dim}|{self.odd_dim}))"
 
 
-@dataclass(frozen=True)
-class SurfaceSpec:
-    """A closed surface from the library, with its pin class data.
-
-    kinds: "sphere" | "rp2" (k in {1,3}) | "torus" (two sector letters)
-    | "klein" (two odd values) | "csum" (list of odd values).
-    """
-
-    kind: str
-    data: tuple = ()
-
-    @staticmethod
-    def sphere() -> "SurfaceSpec":
-        return SurfaceSpec("sphere")
-
-    @staticmethod
-    def rp2(k: int) -> "SurfaceSpec":
-        if k not in (1, 3):
-            raise ValueError("projective plane class must be 1 or 3")
-        return SurfaceSpec("rp2", (k,))
-
-    @staticmethod
-    def torus(e1: str, e2: str) -> "SurfaceSpec":
-        e1, e2 = e1.upper(), e2.upper()
-        if e1 not in SECTORS or e2 not in SECTORS:
-            raise ValueError("torus cycles must be NS or R")
-        return SurfaceSpec("torus", (e1, e2))
-
-    @staticmethod
-    def klein(k: int, l: int) -> "SurfaceSpec":
-        if k not in (1, 3) or l not in (1, 3):
-            raise ValueError("Klein bottle classes must be 1 or 3")
-        return SurfaceSpec("klein", (k, l))
-
-    @staticmethod
-    def crosscap_sum(ks) -> "SurfaceSpec":
-        ks = tuple(ks)
-        if any(k not in (1, 3) for k in ks):
-            raise ValueError("crosscap classes must be 1 or 3")
-        return SurfaceSpec("csum", ks)
-
-    def render(self) -> str:
-        if self.kind == "sphere":
-            return "sphere"
-        if self.kind == "rp2":
-            return f"rp2:{self.data[0]}"
-        if self.kind == "torus":
-            return f"torus:{self.data[0].lower()},{self.data[1].lower()}"
-        if self.kind == "klein":
-            return f"klein:{self.data[0]},{self.data[1]}"
-        return "csum:" + ",".join(str(k) for k in self.data)
-
-    def __repr__(self):
-        return f"SurfaceSpec({self.render()!r})"
-
-
-def parse_surface(text: str) -> SurfaceSpec:
-    """Parse a literal like "sphere", "rp2:1", "torus:ns,r", "klein:1,3",
-    "csum:1,1,1"."""
-    text = text.strip().lower()
-    if text == "sphere":
-        return SurfaceSpec.sphere()
-    head, sep, rest = text.partition(":")
-    if not sep:
-        raise ValueError(f"bad surface literal {text!r}")
-    parts = [p.strip() for p in rest.split(",") if p.strip()]
-    if head == "rp2" and len(parts) == 1:
-        return SurfaceSpec.rp2(int(parts[0]))
-    if head == "torus" and len(parts) == 2:
-        return SurfaceSpec.torus(parts[0], parts[1])
-    if head == "klein" and len(parts) == 2:
-        return SurfaceSpec.klein(int(parts[0]), int(parts[1]))
-    if head == "csum" and parts:
-        return SurfaceSpec.crosscap_sum(int(p) for p in parts)
-    raise ValueError(f"bad surface literal {text!r}")
-
-
-def surface_presentation(s: SurfaceSpec) -> PinSurfacePresentation:
-    """The connect-sum presentation matching a library surface."""
-    if s.kind == "sphere":
-        return PinSurfacePresentation((), ())
-    if s.kind == "rp2":
-        return PinSurfacePresentation((), (s.data[0],))
-    if s.kind == "torus":
-        pair = tuple(0 if e == "NS" else 2 for e in s.data)
-        return PinSurfacePresentation((pair,), ())
-    return PinSurfacePresentation((), tuple(s.data))
-
-
-LIBRARY_SURFACES: tuple[SurfaceSpec, ...] = (
-    SurfaceSpec.sphere(),
-    SurfaceSpec.rp2(1),
-    SurfaceSpec.rp2(3),
-    SurfaceSpec.torus("NS", "NS"),
-    SurfaceSpec.torus("NS", "R"),
-    SurfaceSpec.torus("R", "NS"),
-    SurfaceSpec.torus("R", "R"),
-    SurfaceSpec.klein(1, 1),
-    SurfaceSpec.klein(1, 3),
-    SurfaceSpec.klein(3, 1),
-    SurfaceSpec.klein(3, 3),
+# The library surfaces, as literals of `parse_surface`.
+LIBRARY_SURFACES: tuple[str, ...] = (
+    "sphere", "rp2:1", "rp2:3",
+    "torus:ns,ns", "torus:ns,r", "torus:r,ns", "torus:r,r",
+    "klein:1,1", "klein:1,3", "klein:3,1", "klein:3,3",
 )
+# Torus cycle letters and their basis q-values.
+_TORUS_Q = {"ns": 0, "r": 2}
+
+
+def parse_surface(text: str) -> PinSurfacePresentation:
+    """Parse a surface literal into its connect-sum presentation.
+
+    The library names are "sphere", "rp2:k", "torus:e1,e2", "klein:k,l" and
+    "csum:k,..", with k in {1, 3} and e in {ns, r}; a torus cycle NS has
+    q = 0 and R has q = 2.  Case and whitespace are ignored.  Any other
+    text is read as a presentation literal "g=..,c=..,q=[..]".
+    """
+    name = "".join(text.split()).lower()
+    head, _, rest = name.partition(":")
+    values = rest.split(",")
+    if name == "sphere":
+        return PinSurfacePresentation((), ())
+    if head == "torus" and len(values) == 2 and all(v in _TORUS_Q for v in values):
+        return PinSurfacePresentation(((_TORUS_Q[values[0]], _TORUS_Q[values[1]]),), ())
+    odd = all(v in ("1", "3") for v in values)
+    if odd and (head == "csum" or (head, len(values)) in (("rp2", 1), ("klein", 2))):
+        return PinSurfacePresentation((), tuple(int(v) for v in values))
+    if head in ("sphere", "rp2", "torus", "klein", "csum"):
+        raise ValueError(f"bad surface literal {text!r}")
+    return parse_presentation(name)
 
 
 def _sector_rows(a: HalfTwistAlgebra, sector: str):
@@ -318,41 +247,40 @@ def handle_state(a: HalfTwistAlgebra, e1: str, e2: str) -> AlgebraElement:
     return h
 
 
-def partition_function(a: HalfTwistAlgebra, s: SurfaceSpec) -> CycloNum:
-    """Exact partition function of a closed library surface."""
-    if s.kind == "sphere":
+def partition_function(a: HalfTwistAlgebra, p: PinSurfacePresentation) -> CycloNum:
+    """Exact partition function of a closed pin surface.
+
+    The sphere and the projective planes are ribbon diagrams and a torus is
+    read from a state space; every other surface is a connect sum.
+    """
+    shape = (p.genus, p.crosscaps)
+    if shape == (0, 0):
         return evaluate(parse("R 2 / cup / cap"), a).scalar()
-    if s.kind == "rp2":
-        twists = "id t+ / " * s.data[0]
+    if shape == (0, 1):
+        twists = "id t+ / " * p.crosscap_q[0]
         return evaluate(parse(f"R 1 / cup / {twists}cap"), a).scalar()
-    if s.kind == "torus":
-        space = state_space(a, s.data[0])
-        if s.data[1] == "NS":
+    if shape == (1, 0):
+        q1, q2 = p.torus_q[0]
+        space = state_space(a, SECTORS[q1 // 2])
+        if q2 == 0:
             return CycloNum(space.dim)
         return CycloNum(space.even_dim - space.odd_dim)
-    if s.kind in ("klein", "csum"):
-        return connect_sum_pf(a, [SurfaceSpec.rp2(k) for k in s.data])
-    raise ValueError(f"unknown surface kind {s.kind!r}")
+    return connect_sum_pf(a, p)
 
 
-def connect_sum_pf(a: HalfTwistAlgebra, summands) -> CycloNum:
-    """Closed connect sum of projective-plane and torus summands.
+def connect_sum_pf(a: HalfTwistAlgebra, p: PinSurfacePresentation) -> CycloNum:
+    """Closed connect sum of the tori and crosscaps of a presentation.
 
-    Each summand contributes its capped-off state; the partition function is
-    the vertex weight times the counit of their ordered product.  The empty
-    connect sum is the sphere.
+    Each torus contributes its handle state, with q = 0 an NS cycle and
+    q = 2 an R cycle, and each crosscap its Moebius state; the partition
+    function is the vertex weight times the counit of their product, tori
+    first.  The empty connect sum is the sphere.
     """
     element = a.unit()
-    for s in summands:
-        if s.kind == "rp2":
-            u = moebius_state(a, s.data[0])
-        elif s.kind == "torus":
-            u = handle_state(a, s.data[0], s.data[1])
-        else:
-            raise ValueError(
-                f"connect sums take rp2 and torus summands, not {s.kind!r}"
-            )
-        element = element * u
+    for qx, qy in p.torus_q:
+        element = element * handle_state(a, SECTORS[qx // 2], SECTORS[qy // 2])
+    for qz in p.crosscap_q:
+        element = element * moebius_state(a, qz)
     return a.vertex_weight * a.counit(element)
 
 
@@ -381,14 +309,14 @@ def classify_invertible(a: HalfTwistAlgebra) -> ClassifyResult:
     r = state_space(a, "R")
     if ns.dim != 1 or r.dim != 1:
         return ClassifyResult(False)
-    z_sphere = partition_function(a, SurfaceSpec.sphere())
+    z_sphere = partition_function(a, PinSurfacePresentation((), ()))
     scale = real_sqrt(z_sphere)
     if scale is None:
         raise ValueError(
             "not in the invertible family: sphere value has no positive "
             "square root in the field"
         )
-    ratio = partition_function(a, SurfaceSpec.rp2(1)) / scale
+    ratio = partition_function(a, PinSurfacePresentation((), (1,))) / scale
     for k in range(8):
         if ratio == zeta_pow(k):
             return ClassifyResult(True, k, scale)
@@ -430,16 +358,20 @@ def stacking_check(
     b: HalfTwistAlgebra,
     surfaces=LIBRARY_SURFACES,
 ) -> StackingReport:
-    """Check multiplicativity of the state sum under the graded product."""
+    """Check multiplicativity of the state sum under the graded product.
+
+    Surfaces are given as `parse_surface` literals, which name the rows.
+    """
     from .superalgebra import supertensor
 
+    presentations = [(name, parse_surface(name)) for name in surfaces]
     prod = supertensor(a, b)
     surface_rows = []
-    for s in surfaces:
-        za = partition_function(a, s)
-        zb = partition_function(b, s)
-        zt = partition_function(prod, s)
-        surface_rows.append((s.render(), za, zb, zt, zt == za * zb))
+    for name, p in presentations:
+        za = partition_function(a, p)
+        zb = partition_function(b, p)
+        zt = partition_function(prod, p)
+        surface_rows.append((name, za, zb, zt, zt == za * zb))
     sector_rows = []
     for sector in SECTORS:
         sa = state_space(a, sector)

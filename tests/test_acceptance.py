@@ -15,7 +15,6 @@ from halftwist import (
     LIBRARY_SURFACES,
     ONE,
     SQRT2,
-    SurfaceSpec,
     ZERO,
     ZETA,
     abk,
@@ -25,18 +24,17 @@ from halftwist import (
     check_all_axioms,
     classify_invertible,
     compose,
-    connect_sum_pf,
     custom_from_tensors,
     evaluate,
     expand_left_twists,
     full_report,
     parse,
+    parse_surface,
     partition_function,
     projector,
     stacking_check,
     state_space,
     supertensor,
-    surface_presentation,
     zeta_pow,
 )
 from halftwist.pingeo import PinSurfacePresentation
@@ -121,64 +119,55 @@ def test_criterion_1_axiom_suite():
 
 def test_criterion_2_projective_plane_golden_values():
     with criterion(2, "projective-plane values across the Clifford and matrix families"):
+        rp2 = parse_surface("rp2:1")
         for alpha in (ONE, SQRT2):
             for total in range(5):
                 for p in range(total + 1):
                     q = total - p
                     a = build_clifford_real(p, q, alpha)
-                    z = partition_function(a, SurfaceSpec.rp2(1))
+                    z = partition_function(a, rp2)
                     assert z == alpha * zeta_pow(p - q), (p, q, alpha)
             for p, q in ((1, 0), (1, 1), (2, 1)):
                 m = build_matrix(p, q, alpha)
-                assert partition_function(m, SurfaceSpec.rp2(1)) == alpha, (p, q)
+                assert partition_function(m, rp2) == alpha, (p, q)
 
 
 def _small_presentations():
-    """The 35 presentations with genus <= 1 and at most two crosscaps."""
+    """The 75 presentations of rank 2g + c <= 4."""
     out = []
-    for g in range(2):
-        for c in range(3):
+    for g in range(3):
+        for c in range(5 - 2 * g):
             for tq in itertools.product(((0, 0), (0, 2), (2, 0), (2, 2)), repeat=g):
                 for cq in itertools.product((1, 3), repeat=c):
                     out.append(PinSurfacePresentation(tq, cq))
     return out
 
 
-def _summands(p):
-    """Connect-sum summands of a presentation; torus q = 0 is NS, 2 is R."""
-    tori = [
-        SurfaceSpec.torus(*("NS" if q == 0 else "R" for q in pair))
-        for pair in p.torus_q
-    ]
-    return tori + [SurfaceSpec.rp2(k) for k in p.crosscap_q]
-
-
 def test_criterion_3_oracle_equivalence():
     with criterion(3, "state sum equals the Euler-weighted Gauss sum on 11 classes "
-                   "and on 35 connect sums at four alphas"):
+                   "and on 75 connect sums at four alphas"):
         for alpha in (ONE, SQRT2):
             a = build_clifford_real(1, 0, alpha)
             assert len(LIBRARY_SURFACES) == 11
             for s in LIBRARY_SURFACES:
-                presentation = surface_presentation(s)
+                presentation = parse_surface(s)
                 expected = alpha ** presentation.euler_characteristic * abk(presentation)
-                assert partition_function(a, s) == expected, s.render()
+                assert partition_function(a, presentation) == expected, s
 
         presentations = _small_presentations()
-        assert len(presentations) == 35
+        assert len(presentations) == 75
         for alpha in (ONE, -ONE, SQRT2, CycloNum(1) / CycloNum(3)):
             for k in range(4):
                 a = build_clifford_real(k, 0, alpha)
                 for p in presentations:
                     expected = alpha ** p.euler_characteristic * abk(p) ** k
-                    assert connect_sum_pf(a, _summands(p)) == expected, (k, alpha, p)
+                    assert partition_function(a, p) == expected, (k, alpha, p)
 
         parts = [algebra("cl(1,0)@alpha=-1"), algebra("cl(0,1)@alpha=-1")]
         total = algebra("(cl(1,0) (+) cl(0,1))@alpha=-1")
         for p in presentations:
-            summands = _summands(p)
-            assert connect_sum_pf(total, summands) == sum(
-                (connect_sum_pf(part, summands) for part in parts), start=ZERO
+            assert partition_function(total, p) == sum(
+                (partition_function(part, p) for part in parts), start=ZERO
             ), p
 
 
@@ -211,13 +200,14 @@ def test_criterion_5_complex_clifford_theory():
         for alpha in (ONE, SQRT2):
             a = build_clifford_complex(1, alpha)
             for s in LIBRARY_SURFACES:
-                z = partition_function(a, s)
-                chi = surface_presentation(s).euler_characteristic
-                if s.kind in ("rp2", "klein"):
-                    assert z == ZERO, (s.render(), alpha)
-                elif s.kind == "torus":
-                    sign = -ONE if s.data == ("R", "R") else ONE
-                    assert z == CycloNum(2) * alpha**chi * sign, s.render()
+                p = parse_surface(s)
+                z = partition_function(a, p)
+                chi = p.euler_characteristic
+                if p.crosscaps:
+                    assert z == ZERO, (s, alpha)
+                elif p.genus:
+                    sign = -ONE if p.torus_q == ((2, 2),) else ONE
+                    assert z == CycloNum(2) * alpha**chi * sign, s
                 else:
                     assert z == CycloNum(2) * alpha**chi
             assert state_space(a, "NS").as_supervector() == (2, 0)
@@ -264,10 +254,10 @@ def test_criterion_8_decomposability():
         for spec_a, spec_b in pairs:
             a, b = algebra(spec_a), algebra(spec_b)
             total = algebra(f"{spec_a} (+) {spec_b}")
-            for s in LIBRARY_SURFACES:
+            for s in map(parse_surface, LIBRARY_SURFACES):
                 assert partition_function(total, s) == partition_function(
                     a, s
-                ) + partition_function(b, s), (spec_a, spec_b, s.render())
+                ) + partition_function(b, s), (spec_a, spec_b, s)
 
 
 def test_criterion_9_gluing():
@@ -362,8 +352,8 @@ def test_criterion_11_declared_indirect_coverage():
         # pipeline with the Gauss-sum pipeline (criteria 3-5).  Re-assert one
         # witness from each side here so this declaration is load-bearing.
         a = algebra("cl(1,0)")
-        s = SurfaceSpec.klein(1, 1)
-        assert partition_function(a, s) == abk(surface_presentation(s)) == I
+        s = parse_surface("klein:1,1")
+        assert partition_function(a, s) == abk(s) == I
         c = algebra("clc(1)")
-        assert partition_function(c, SurfaceSpec.rp2(1)) == ZERO
-        assert partition_function(c, SurfaceSpec.torus("R", "R")) == CycloNum(-2)
+        assert partition_function(c, parse_surface("rp2:1")) == ZERO
+        assert partition_function(c, parse_surface("torus:r,r")) == CycloNum(-2)

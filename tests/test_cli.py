@@ -31,6 +31,23 @@ def test_partition_with_alpha_flag():
     assert "Z = 2 + 0*z + 0*z^2 + 0*z^3" in text
 
 
+def test_partition_presentation_literal():
+    # alpha^chi * abk = (-1) * (-z) on a torus with one crosscap
+    code, text = run(
+        "--format", "kv", "partition", "cl(1,0)@alpha=-1", "g=1,c=1,q=[2,2|1]"
+    )
+    assert code == 0
+    assert "surface = g=1,c=1,q=[2,2|1]\n" in text
+    assert "Z = 0 + 1*z + 0*z^2 + 0*z^3" in text
+    assert "Z.label = ABK^1" in text
+
+
+def test_partition_prints_normalized_literal():
+    code, text = run("--format", "kv", "partition", "cl(1,0)", " Torus: R,R ")
+    assert code == 0
+    assert "surface = torus:r,r\n" in text
+
+
 def test_torus_at_negative_alpha():
     code, text = run("--format", "kv", "partition", "cl(1,0)@alpha=-1", "torus:r,r")
     assert code == 0
@@ -95,12 +112,19 @@ def test_stack_command():
     code, text = run("stack", "cl(1,0)", "cl(0,1)", "rp2:1", "sphere")
     assert code == 0
     assert "stacking: ok" in text
+    code, text = run("stack", "cl(1,0)", "cl(0,1)", "g=2,c=1,q=[0,2;2,2|3]")
+    assert code == 0
+    assert text.startswith("g=2,c=1,q=[0,2;2,2|3] ")
 
 
 def test_usage_errors_exit_two():
     code, _ = run("partition", "cl(1,0)", "bogus")
     assert code == 2
     code, _ = run("partition", "wat", "sphere")
+    assert code == 2
+    code, _ = run("partition", "cl(1,0)", "g=1,c=0,q=[1,2|]")
+    assert code == 2
+    code, _ = run("stack", "cl(1,0)", "cl(0,1)", "g=1,c=1,q=[0,2|]")
     assert code == 2
     code, _ = run()
     assert code == 2

@@ -2,8 +2,9 @@
 
 Each record is one `halftwist --format kv` command with its exit code, its
 standard output and its standard error.  The corpus covers `states`,
-`classify` and `partition` on every surface literal for the axiom spec mix up
-to dim 8 at three alphas, plus `check` up to dim 4.
+`classify` and `partition` on every library surface literal and three
+presentation literals for the axiom spec mix up to dim 8 at three alphas, plus
+`check` up to dim 4.
 
 After an intended change of output, rewrite the corpus with
 
@@ -41,6 +42,7 @@ SURFACES = (
     "sphere", "rp2:1", "rp2:3",
     "torus:ns,ns", "torus:ns,r", "torus:r,ns", "torus:r,r",
     "klein:1,1", "klein:1,3", "klein:3,1", "klein:3,3", "csum:1,1,1",
+    "g=0,c=0,q=[|]", "g=1,c=1,q=[2,2|1]", "g=2,c=0,q=[0,2;2,2|]",
 )
 
 

@@ -5,8 +5,8 @@ from halftwist import (
     I,
     LIBRARY_SURFACES,
     ONE,
+    PinSurfacePresentation,
     SQRT2,
-    SurfaceSpec,
     ZERO,
     ZETA,
     abk,
@@ -22,7 +22,6 @@ from halftwist import (
     state_space,
     stacking_check,
     supertensor,
-    surface_presentation,
     zeta_pow,
 )
 from conftest import AXIOM_SUITE_SPECS, algebra, assert_projects_onto_state_space
@@ -161,7 +160,7 @@ def test_projector_is_self_adjoint():
 def test_projective_plane_values_small():
     for p, q in ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1)):
         a = algebra(f"cl({p},{q})")
-        z = partition_function(a, SurfaceSpec.rp2(1))
+        z = partition_function(a, parse_surface("rp2:1"))
         assert z == zeta_pow(p - q), (p, q)
 
 
@@ -174,7 +173,7 @@ def test_torus_values_clifford():
         ("R", "R"): -ONE,
     }
     for (e1, e2), value in want.items():
-        assert partition_function(a, SurfaceSpec.torus(e1, e2)) == value
+        assert partition_function(a, parse_surface(f"torus:{e1},{e2}")) == value
 
 
 def test_torus_values_need_no_star():
@@ -184,29 +183,30 @@ def test_torus_values_need_no_star():
     )
     assert no_star.star is None
     for e1, e2 in (("NS", "NS"), ("NS", "R"), ("R", "NS"), ("R", "R")):
-        s = SurfaceSpec.torus(e1, e2)
-        assert partition_function(no_star, s) == partition_function(a, s)
-        assert partition_function(no_star, s) == abk(surface_presentation(s))
+        p = parse_surface(f"torus:{e1},{e2}")
+        assert partition_function(no_star, p) == partition_function(a, p)
+        assert partition_function(no_star, p) == abk(p)
 
 
 def test_oracle_equality_with_euler_weight():
     for alpha in (ONE, SQRT2, -ONE, CycloNum(1) / CycloNum(3)):
         a = build_clifford_real(1, 0, alpha)
         for s in LIBRARY_SURFACES:
-            p = surface_presentation(s)
+            p = parse_surface(s)
             expected = alpha ** p.euler_characteristic * abk(p)
-            assert partition_function(a, s) == expected, s.render()
+            assert partition_function(a, p) == expected, s
 
 
 def test_complex_clifford_partition_functions():
     a = algebra("clc(1)")
     for s in LIBRARY_SURFACES:
-        z = partition_function(a, s)
-        if s.kind in ("rp2", "klein"):
-            assert z == ZERO, s.render()
-        elif s.kind == "torus":
-            want = CycloNum(-2) if s.data == ("R", "R") else CycloNum(2)
-            assert z == want, s.render()
+        p = parse_surface(s)
+        z = partition_function(a, p)
+        if p.crosscaps:
+            assert z == ZERO, s
+        elif p.genus:
+            want = CycloNum(-2) if p.torus_q == ((2, 2),) else CycloNum(2)
+            assert z == want, s
         else:
             assert z == CycloNum(2)  # doubled sphere value at alpha = 1
 
@@ -250,26 +250,22 @@ def test_handle_state_needs_no_constructor_provenance():
 
 
 def test_connect_sums_against_oracle():
-    from halftwist import PinSurfacePresentation
-
     a = algebra("cl(1,0)")
-    three = connect_sum_pf(a, [SurfaceSpec.rp2(1)] * 3)
+    three = connect_sum_pf(a, PinSurfacePresentation((), (1, 1, 1)))
     assert three == zeta_pow(3)
     assert three == abk(PinSurfacePresentation((), (1, 1, 1)))
-    assert connect_sum_pf(a, [SurfaceSpec.rp2(1), SurfaceSpec.rp2(3)]) == ONE
-    assert connect_sum_pf(a, []) == ONE
-    mixed = connect_sum_pf(a, [SurfaceSpec.torus("R", "R"), SurfaceSpec.rp2(1)])
+    assert connect_sum_pf(a, PinSurfacePresentation((), (1, 3))) == ONE
+    assert connect_sum_pf(a, PinSurfacePresentation((), ())) == ONE
+    mixed = connect_sum_pf(a, PinSurfacePresentation(((2, 2),), (1,)))
     assert mixed == abk(PinSurfacePresentation(((2, 2),), (1,)))
-    with pytest.raises(ValueError, match="summands"):
-        connect_sum_pf(a, [SurfaceSpec.sphere()])
 
 
 def test_klein_equals_two_crosscaps():
     a = algebra("cl(1,0)")
     for k, l in ((1, 1), (1, 3), (3, 1), (3, 3)):
-        direct = partition_function(a, SurfaceSpec.klein(k, l))
-        csum = partition_function(a, SurfaceSpec.crosscap_sum((k, l)))
-        assert direct == csum
+        direct = partition_function(a, parse_surface(f"klein:{k},{l}"))
+        glued = moebius_state(a, k) * moebius_state(a, l)
+        assert direct == a.vertex_weight * a.counit(glued)
 
 
 def test_classify_invertible_examples():
@@ -320,23 +316,23 @@ def test_decomposability_spot():
     a = algebra("cl(1,0)")
     b = algebra("cl(0,1)")
     s = algebra("cl(1,0) (+) cl(0,1)")
-    for surf in (SurfaceSpec.rp2(1), SurfaceSpec.sphere(), SurfaceSpec.klein(1, 3)):
+    for surf in map(parse_surface, ("rp2:1", "sphere", "klein:1,3")):
         assert partition_function(s, surf) == partition_function(a, surf) + partition_function(b, surf)
     # the projective-plane value sums to sqrt2 times the scale
-    assert partition_function(s, SurfaceSpec.rp2(1)) == SQRT2
+    assert partition_function(s, parse_surface("rp2:1")) == SQRT2
 
 
 def test_cross_family_power_law():
     # Z for signature (p, q) is the (p - q)-th power of the root theory.
     a = algebra("cl(1,0)")
-    base = {s.render(): partition_function(a, s) for s in LIBRARY_SURFACES}
+    base = {s: partition_function(a, parse_surface(s)) for s in LIBRARY_SURFACES}
     for p, q in ((0, 0), (2, 0), (0, 1), (1, 1), (2, 1)):
         b = algebra(f"cl({p},{q})")
         for s in LIBRARY_SURFACES:
-            assert partition_function(b, s) == base[s.render()] ** (p - q), (
+            assert partition_function(b, parse_surface(s)) == base[s] ** (p - q), (
                 p,
                 q,
-                s.render(),
+                s,
             )
 
 
@@ -344,15 +340,15 @@ def test_supertensor_at_generator_cap():
     # cl(1,0) (x) cl(7,0) has dim 256 and lands back in the trivial class.
     big = supertensor(algebra("cl(1,0)"), algebra("cl(7,0)"))
     assert big.dim == 256
-    assert partition_function(big, SurfaceSpec.rp2(1)) == ONE
+    assert partition_function(big, parse_surface("rp2:1")) == ONE
 
 
 def test_eighth_power_periodicity():
     # stacking two signature-4 theories closes the cycle of eight
     half = algebra("cl(4,0)")
-    assert partition_function(half, SurfaceSpec.rp2(1)) == -ONE
+    assert partition_function(half, parse_surface("rp2:1")) == -ONE
     doubled = supertensor(half, half)
-    assert partition_function(doubled, SurfaceSpec.rp2(1)) == ONE
+    assert partition_function(doubled, parse_surface("rp2:1")) == ONE
 
 
 def test_moebius_closure_matches_projective_plane():
@@ -360,7 +356,7 @@ def test_moebius_closure_matches_projective_plane():
         a = algebra(spec)
         for k in (1, 3):
             closure = a.vertex_weight * a.counit(moebius_state(a, k))
-            assert closure == partition_function(a, SurfaceSpec.rp2(k)), (spec, k)
+            assert closure == partition_function(a, parse_surface(f"rp2:{k}")), (spec, k)
 
 
 def test_partition_conjugate_magnitude_invariant():
@@ -368,8 +364,9 @@ def test_partition_conjugate_magnitude_invariant():
     for spec in ("cl(1,0)", "clc(1)", "mat(1|1)"):
         a = algebra(spec)
         for s in LIBRARY_SURFACES:
-            z = partition_function(a, s)
-            chi = surface_presentation(s).euler_characteristic
+            p = parse_surface(s)
+            z = partition_function(a, p)
+            chi = p.euler_characteristic
             norm = z * z.conjugate()
             if spec == "clc(1)":
                 assert norm == ZERO or norm == CycloNum(4) * a.alpha ** (2 * chi)
@@ -377,34 +374,68 @@ def test_partition_conjugate_magnitude_invariant():
                 assert norm == a.alpha ** (2 * chi)
 
 
+def _shape_id(value):
+    """Test id of a presentation: the library name of its shape."""
+    if not isinstance(value, PinSurfacePresentation):
+        return None
+    names = {(0, 0): "sphere", (0, 1): "rp2", (1, 0): "torus", (0, 2): "klein"}
+    shape = (value.genus, value.crosscaps)
+    return names.get(shape, "csum" if value.genus == 0 else "mixed")
+
+
+def _p(torus_q=(), crosscap_q=()):
+    return PinSurfacePresentation(tuple(torus_q), tuple(crosscap_q))
+
+
 @pytest.mark.parametrize(
-    "literal, kind",
+    "literal, want",
     [
-        ("sphere", "sphere"),
-        ("rp2:1", "rp2"),
-        ("rp2:3", "rp2"),
-        ("torus:ns,r", "torus"),
-        ("torus:R,R", "torus"),
-        ("klein:1,3", "klein"),
-        ("csum:1,1,1", "csum"),
+        ("sphere", _p()),
+        ("rp2:1", _p((), (1,))),
+        ("rp2:3", _p((), (3,))),
+        ("torus:ns,ns", _p([(0, 0)])),
+        ("torus:ns,r", _p([(0, 2)])),
+        ("torus:r,ns", _p([(2, 0)])),
+        ("torus:r,r", _p([(2, 2)])),
+        ("torus:R,R", _p([(2, 2)])),
+        ("klein:1,1", _p((), (1, 1))),
+        ("klein:1,3", _p((), (1, 3))),
+        ("klein:3,1", _p((), (3, 1))),
+        (" klein: 3,1 ", _p((), (3, 1))),
+        ("klein:3,3", _p((), (3, 3))),
+        ("csum:1,1,1", _p((), (1, 1, 1))),
+        ("g=1,c=1,q=[2,2|1]", _p([(2, 2)], (1,))),
+    ],
+    ids=_shape_id,
+)
+def test_surface_literals(literal, want):
+    assert parse_surface(literal) == want
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        "", "rp2:2", "torus:x,y", "klein:1", "blob", "csum:",
+        "rp2:5", "torus:ns", "klein:1,2", "g=1,c=0,q=[1,2|]",
     ],
 )
-def test_surface_literals(literal, kind):
-    s = parse_surface(literal)
-    assert s.kind == kind
-    assert parse_surface(s.render()) == s
-
-
-@pytest.mark.parametrize("bad", ["", "rp2:2", "torus:x,y", "klein:1", "blob", "csum:"])
 def test_surface_literal_rejects(bad):
     with pytest.raises(ValueError):
         parse_surface(bad)
 
 
-def test_surface_presentations():
-    assert surface_presentation(parse_surface("sphere")).rank == 0
-    p = surface_presentation(parse_surface("torus:ns,r"))
-    assert p.torus_q == ((0, 2),)
-    p = surface_presentation(parse_surface("klein:3,1"))
-    assert p.crosscap_q == (3, 1)
-    assert surface_presentation(parse_surface("csum:1,1,1")).euler_characteristic == -1
+def test_fast_routes_equal_connect_sums():
+    # Sphere and projective planes are ribbon diagrams and tori are read
+    # from state spaces; each must agree with the connect-sum route.
+    fast = ("sphere", "rp2:1", "rp2:3", "torus:ns,ns", "torus:ns,r", "torus:r,ns", "torus:r,r")
+    checked = 0
+    for spec in AXIOM_SUITE_SPECS:
+        for alpha in ("1", "-1"):
+            a = algebra(spec, alpha)
+            if a.dim > 8:
+                continue
+            for literal in fast:
+                p = parse_surface(literal)
+                assert partition_function(a, p) == connect_sum_pf(a, p), (spec, alpha, literal)
+            checked += 1
+    assert checked == 2 * 20  # 20 specs of dim <= 8
