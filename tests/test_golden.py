@@ -3,8 +3,11 @@
 Each record is one `halftwist --format kv` command with its exit code, its
 standard output and its standard error.  The corpus covers `states`,
 `classify` and `partition` on every library surface literal and three
-presentation literals for the axiom spec mix up to dim 8 at three alphas, plus
-`check` up to dim 4.
+presentation literals for the axiom spec mix up to dim 8 at three alphas,
+`check` up to dim 4, and `eval` of the ribbon diagrams in tests/golden/diagrams
+(both sides of the thirteen move fragments and closed diagrams with left twists
+and the mul/eta macros) on the `check` specs at alphas 1 and -1.  Diagram files
+are named relative to the repository root, which the corpus runs from.
 
 After an intended change of output, rewrite the corpus with
 
@@ -15,12 +18,17 @@ and review the diff of tests/golden/kv_corpus.txt record by record.
 
 import contextlib
 import io
+import os
 import shlex
 from pathlib import Path
 
 from halftwist.cli import main
 
-CORPUS = Path(__file__).parent / "golden" / "kv_corpus.txt"
+ROOT = Path(__file__).resolve().parent.parent
+CORPUS = ROOT / "tests" / "golden" / "kv_corpus.txt"
+DIAGRAMS = sorted(
+    p.relative_to(ROOT).as_posix() for p in CORPUS.parent.glob("diagrams/*.rib")
+)
 
 # The axiom spec mix up to dim 8, smallest first within each family.
 SPECS = (
@@ -44,6 +52,7 @@ SURFACES = (
     "klein:1,1", "klein:1,3", "klein:3,1", "klein:3,3", "csum:1,1,1",
     "g=0,c=0,q=[|]", "g=1,c=1,q=[2,2|1]", "g=2,c=0,q=[0,2;2,2|]",
 )
+EVAL_ALPHAS = ("1", "-1")
 
 
 def commands():
@@ -56,6 +65,11 @@ def commands():
                 yield base + ["partition", spec, surface]
             if spec in CHECK_SPECS:
                 yield base + ["check", spec]
+    for alpha in EVAL_ALPHAS:
+        base = ["--format", "kv", "--alpha", alpha]
+        for spec in CHECK_SPECS:
+            for path in DIAGRAMS:
+                yield base + ["eval", spec, path]
 
 
 def record(argv) -> str:
@@ -73,7 +87,8 @@ def _by_command(text: str) -> dict[str, str]:
     return {r.split("\n", 1)[0]: r for r in records}
 
 
-def test_kv_corpus_is_unchanged():
+def test_kv_corpus_is_unchanged(monkeypatch):
+    monkeypatch.chdir(ROOT)
     want = _by_command(CORPUS.read_text(encoding="utf-8"))
     got = _by_command("".join(record(argv) for argv in commands()))
     assert list(got) == list(want), "the corpus commands changed; rewrite it"
@@ -85,5 +100,5 @@ def test_kv_corpus_is_unchanged():
 
 
 if __name__ == "__main__":
-    CORPUS.parent.mkdir(exist_ok=True)
+    os.chdir(ROOT)
     CORPUS.write_text("".join(record(argv) for argv in commands()), encoding="utf-8")
