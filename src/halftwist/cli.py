@@ -61,9 +61,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--alpha", default=None, help="default alpha literal for algebra specs"
     )
-    parser.add_argument(
-        "--max-width", type=int, default=None, help="evaluator boundary-width guard"
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="verify the thirteen axioms and more")
@@ -111,7 +108,7 @@ def _cmd_eval(args, out) -> int:
     with open(args.diagram_file, "r", encoding="utf-8") as fh:
         text = fh.read()
     diagram = parse(text)
-    block = evaluate(diagram, algebra, max_width=args.max_width)
+    block = evaluate(diagram, algebra)
     if args.format == "kv":
         out.write(f"n = {block.n}\nm = {block.m}\n")
         for (ins, outs), v in block.entries():

@@ -21,9 +21,13 @@ input width of a diagram is inferred from its first slice unless pinned.
 
 The parser normalizes each slice to at most one generator per elementary
 step; evaluation sweeps these steps bottom to top, carrying a sparse table
-over basis tuples of the live boundary.  Input strands are enumerated lazily,
-the first time a generator touches them, which keeps intermediate tables
-small.  A closed diagram evaluates to a single exact scalar.
+over basis tuples of the live boundary.  Each step is the same for every
+generator: the generator's weight tensor, keyed by its input indices,
+replaces the consumed strands of each boundary entry by its outputs.  Input
+strands are enumerated lazily, the first time a generator touches them,
+which keeps intermediate tables small; a step that would form more than
+CELL_CEILING entries is refused before it is built.  A closed diagram
+evaluates to a single exact scalar.
 """
 
 from __future__ import annotations
@@ -55,6 +59,16 @@ ARITY = {
     "t+": (1, 1),
     "t-": (1, 1),
     "id": (1, 1),
+}
+
+# Weight tensor per generator; its first ARITY[kind][0] indices are inputs.
+WEIGHTS = {
+    "node": lambda a: a.node,
+    "cap": lambda a: a.cap,
+    "cup": lambda a: a.cup,
+    "x": lambda a: a.crossing,
+    "t+": lambda a: a.twist,
+    "t-": lambda a: a.twist_inverse(),
 }
 
 
@@ -173,7 +187,7 @@ def parse(text: str) -> RibbonDiagram:
             continue
 
         # One slice: expand tokens left to right.
-        expanded: list[tuple[str, int, int]] = []  # (kind, position, col)
+        expanded: list[tuple[str, int]] = []  # (kind, position)
         in_needed = 0
         out_pos = 0
         for tok, col in tokens:
@@ -181,8 +195,8 @@ def parse(text: str) -> RibbonDiagram:
                 tok = "cap"
             if tok == "mul":
                 # product = cup opening a third leg, then the node
-                expanded.append(("cup", out_pos + 2, col))
-                expanded.append(("node", out_pos, col))
+                expanded.append(("cup", out_pos + 2))
+                expanded.append(("node", out_pos))
                 in_needed += 2
                 out_pos += 1
                 continue
@@ -190,7 +204,7 @@ def parse(text: str) -> RibbonDiagram:
                 raise DiagramError(f"unknown token {tok!r}", lineno, col)
             n_in, n_out = ARITY[tok]
             if tok != "id":
-                expanded.append((tok, out_pos, col))
+                expanded.append((tok, out_pos))
             in_needed += n_in
             out_pos += n_out
 
@@ -203,10 +217,8 @@ def parse(text: str) -> RibbonDiagram:
                 lineno,
                 tokens[0][1],
             )
-        for kind, pos, col in expanded:
-            ops.append((kind, pos))
-        n_out_total = out_pos
-        width = n_out_total
+        ops.extend(expanded)
+        width = out_pos
         seen_slice = True
 
     diagram = RibbonDiagram(bottom or 0, tuple(ops), r_power)
@@ -269,38 +281,21 @@ class LinearBlock:
         return f"LinearBlock({self.n}->{self.m}, {len(self.table)} entries)"
 
 
-def evaluate(
-    diagram: RibbonDiagram,
-    algebra: HalfTwistAlgebra,
-    max_width: int | None = None,
-    cell_ceiling: int = CELL_CEILING,
-) -> LinearBlock:
+def evaluate(diagram: RibbonDiagram, algebra: HalfTwistAlgebra) -> LinearBlock:
     """Contract a diagram over an algebra, slice by slice from the bottom.
 
-    The result is multiplied by vertex_weight ** r_power.  Input strands are
-    materialized lazily; the overflow guard rejects any evaluation whose
-    sparse boundary table would exceed the configurable cell ceiling, and
-    max_width rejects diagrams whose boundary ever grows past it.
+    Every generator takes the same step: its weight tensor, keyed by its
+    input indices, maps the basis values of the strands it consumes to the
+    outputs it puts in their place, each with its weight.  A generator's
+    table is built the first time a step uses it, so a diagram without t-
+    never inverts the twist.  The result is multiplied by
+    vertex_weight ** r_power.  Input strands are materialized lazily, and
+    a step that would form more than CELL_CEILING boundary entries is
+    refused before any of them is built.
     """
     n, m = diagram.validate()
     dim = algebra.dim
-    if max_width is not None:
-        for w in diagram.widths():
-            if w > max_width:
-                raise DiagramError(
-                    f"boundary width {w} exceeds the limit {max_width}"
-                )
-
-    twist_rows: dict[int, list] = {}
-    for (a, b), v in algebra.twist.items():
-        twist_rows.setdefault(a, []).append((b, v))
-    twist_inv_rows: dict[int, list] | None = None
-    cross_rows: dict[tuple[int, int], list] = {}
-    for (a, b, c, d), v in algebra.crossing.items():
-        cross_rows.setdefault((a, b), []).append(((c, d), v))
-    cup_items = sorted(algebra.cup.items())
-    cap = algebra.cap
-    node = algebra.node
+    tables: dict[str, dict[tuple, list]] = {}
 
     # Slots of the live boundary: an int marks a not-yet-materialized input
     # strand (by input position), None a materialized one whose basis value
@@ -308,89 +303,59 @@ def evaluate(
     slots: list[int | None] = list(range(n))
     state: dict = {((None,) * n, ()): ONE}
 
-    def guard(table):
-        if len(table) > cell_ceiling:
+    def check(cells: int):
+        if cells > CELL_CEILING:
             raise DiagramError(
-                f"boundary table exceeds {cell_ceiling} cells; raise the "
-                "ceiling or simplify the diagram"
+                f"boundary table would hold {cells} entries, over the ceiling "
+                f"of {CELL_CEILING}"
             )
-        return table
 
     def bind(pos: int):
         nonlocal state
+        check(len(state) * dim)
         k = slots[pos]
-        assert k is not None
         j = sum(1 for s in slots[:pos] if s is None)
         new: dict = {}
         for (ins, live), v in state.items():
             pre, post = live[:j], live[j:]
             for b in range(dim):
-                ins2 = ins[:k] + (b,) + ins[k + 1 :]
-                new[(ins2, pre + (b,) + post)] = v
+                new[(ins[:k] + (b,) + ins[k + 1 :], pre + (b,) + post)] = v
         slots[pos] = None
-        state = guard(new)
-
-    def accumulate(store, key, term):
-        acc = store.get(key)
-        if acc is None:
-            store[key] = term
-        else:
-            total = acc + term
-            if total.is_zero():
-                del store[key]
-            else:
-                store[key] = total
+        state = new
 
     for kind, pos in diagram.ops:
         n_in, n_out = ARITY[kind]
         for j in range(pos, pos + n_in):
             if slots[j] is not None:
                 bind(j)
-        lstart = sum(1 for s in slots[:pos] if s is None)
+        rows_by_input = tables.get(kind)
+        if rows_by_input is None:
+            rows_by_input = tables[kind] = {}
+            for key, w in WEIGHTS[kind](algebra).items():
+                rows_by_input.setdefault(key[:n_in], []).append((key[n_in:], w))
+        lo = sum(1 for s in slots[:pos] if s is None)
+        hi = lo + n_in
+        check(sum(len(rows_by_input.get(live[lo:hi], ())) for _, live in state))
         new: dict = {}
-        if kind == "cap":
-            for (ins, live), v in state.items():
-                w = cap.get((live[lstart], live[lstart + 1]))
-                if w is None:
-                    continue
-                accumulate(new, (ins, live[:lstart] + live[lstart + 2 :]), v * w)
-        elif kind == "node":
-            for (ins, live), v in state.items():
-                w = node.get(live[lstart : lstart + 3])
-                if w is None:
-                    continue
-                accumulate(new, (ins, live[:lstart] + live[lstart + 3 :]), v * w)
-        elif kind == "cup":
-            for (ins, live), v in state.items():
-                pre, post = live[:lstart], live[lstart:]
-                for (a, b), w in cup_items:
-                    accumulate(new, (ins, pre + (a, b) + post), v * w)
-        elif kind == "x":
-            for (ins, live), v in state.items():
-                rows = cross_rows.get(live[lstart : lstart + 2])
-                if not rows:
-                    continue
-                pre, post = live[:lstart], live[lstart + 2 :]
-                for (c, d), w in rows:
-                    accumulate(new, (ins, pre + (c, d) + post), v * w)
-        elif kind in ("t+", "t-"):
-            if kind == "t-" and twist_inv_rows is None:
-                twist_inv_rows = {}
-                for (a, b), v in algebra.twist_inverse().items():
-                    twist_inv_rows.setdefault(a, []).append((b, v))
-            rows_by_a = twist_rows if kind == "t+" else twist_inv_rows
-            for (ins, live), v in state.items():
-                rows = rows_by_a.get(live[lstart])
-                if not rows:
-                    continue
-                pre, post = live[:lstart], live[lstart + 1 :]
-                for b, w in rows:
-                    accumulate(new, (ins, pre + (b,) + post), v * w)
-        else:  # pragma: no cover
-            raise DiagramError(f"unhandled generator {kind!r}")
-        del slots[pos : pos + n_in]
-        slots[pos:pos] = [None] * n_out
-        state = guard(new)
+        for (ins, live), v in state.items():
+            rows = rows_by_input.get(live[lo:hi])
+            if not rows:
+                continue
+            pre, post = live[:lo], live[hi:]
+            for outs, w in rows:
+                key = (ins, pre + outs + post)
+                term = v * w
+                acc = new.get(key)
+                if acc is None:
+                    new[key] = term
+                else:
+                    total = acc + term
+                    if total.is_zero():
+                        del new[key]
+                    else:
+                        new[key] = total
+        slots[pos : pos + n_in] = [None] * n_out
+        state = new
 
     # Materialize inputs that no generator ever touched (pass-through).
     for pos in range(len(slots)):
@@ -398,7 +363,4 @@ def evaluate(
             bind(pos)
 
     weight = algebra.vertex_weight ** diagram.r_power
-    table = {
-        (ins, live): v * weight for (ins, live), v in state.items()
-    }
-    return LinearBlock(n, m, table)
+    return LinearBlock(n, m, {key: v * weight for key, v in state.items()})

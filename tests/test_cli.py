@@ -117,7 +117,12 @@ def test_stack_command():
     assert text.startswith("g=2,c=1,q=[0,2;2,2|3] ")
 
 
-def test_usage_errors_exit_two():
+def test_usage_errors_exit_two(tmp_path):
+    path = tmp_path / "rp2.rib"
+    path.write_text("R 1\ncup\nid t+\ncap\n")
+    assert run("eval", "cl(1,0)", str(path))[0] == 0
+    code, _ = run("--max-width", "3", "eval", "cl(1,0)", str(path))
+    assert code == 2
     code, _ = run("partition", "cl(1,0)", "bogus")
     assert code == 2
     code, _ = run("partition", "wat", "sphere")

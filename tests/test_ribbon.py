@@ -1,4 +1,5 @@
 import random
+from itertools import product as iproduct
 
 import pytest
 
@@ -15,6 +16,7 @@ from halftwist import (
     parse,
     zeta_pow,
 )
+from halftwist import ribbon
 from halftwist.ribbon import DiagramError
 from conftest import algebra, random_diagram
 
@@ -173,15 +175,40 @@ def test_untouched_strands_pass_through():
             assert block.table[((x, y, 1), (x, y, 1))] == zeta_pow(2)
 
 
-def test_guards():
+def test_guards(monkeypatch):
+    # The ceiling is read at call time and checked on the count a step would
+    # form, before the table is built.
     a = algebra("cl(2,2)")
-    wide = parse(
-        "bottom 2\nid id cup\nid id id id cup\ncap id id id id\ncap id id\ncap"
-    )
-    with pytest.raises(DiagramError, match="width"):
-        evaluate(wide, a, max_width=3)
-    with pytest.raises(DiagramError, match="cells"):
-        evaluate(parse("bottom 4\nid id id id"), a, cell_ceiling=100)
+    monkeypatch.setattr(ribbon, "CELL_CEILING", 1000)
+    with pytest.raises(DiagramError, match=r"\b4096\b"):
+        evaluate(parse("bottom 4\nid id id id"), a)
+    with pytest.raises(DiagramError, match=r"\b4096\b"):
+        evaluate(parse("bottom 2\nid id cup"), a)
+    monkeypatch.setattr(ribbon, "CELL_CEILING", 256)
+    assert evaluate(parse("bottom 2\nid id"), a) == LinearBlock.identity(2, 16)
+
+
+@pytest.mark.parametrize("width", (3, 4))
+@pytest.mark.parametrize("kind", ("node", "cap", "cup", "x", "t+", "t-"))
+@pytest.mark.parametrize("spec", ("cl(1,1)", "mat(1|1)", "clc(1)"))
+def test_single_generator_is_its_tensor(spec, kind, width):
+    """A generator alone in a slice is its tensor with identities beside it."""
+    a = algebra(spec)
+    tensor = {
+        "node": a.node, "cap": a.cap, "cup": a.cup, "x": a.crossing,
+        "t+": a.twist, "t-": a.twist_inverse(),
+    }[kind]
+    n_in, n_out = ribbon.ARITY[kind]
+    for pos in range(width - n_in + 1):
+        expected = {}
+        for ins in iproduct(range(a.dim), repeat=width):
+            for key, v in tensor.items():
+                if key[:n_in] == ins[pos : pos + n_in]:
+                    outs = ins[:pos] + key[n_in:] + ins[pos + n_in :]
+                    expected[(ins, outs)] = v
+        d = RibbonDiagram(width, ((kind, pos),))
+        want = LinearBlock(width, width - n_in + n_out, expected)
+        assert evaluate(d, a) == want, (spec, kind, width, pos)
 
 
 def test_singular_twist_errors():
