@@ -37,9 +37,9 @@ from .linalg import (
     SingularMatrixError,
     delta,
     einsum,
-    linear_solve,
     mat_invert,
     prune,
+    scale,
     tensors_differ,
 )
 
@@ -139,22 +139,24 @@ class HalfTwistAlgebra:
         return self._cache["product"]  # type: ignore[return-value]
 
     def unit(self) -> "AlgebraElement":
-        """The two-sided unit, solved for from the structure constants."""
+        """The unit R sum_ab B^ab e_a e_b, the state sum of a disk.
+
+        Raises ValueError when it is not a two-sided unit, which happens
+        exactly when the algebra is not special (axiom a4).
+        """
         if "unit" not in self._cache:
-            rows: dict[tuple[int, int], dict[int, CycloNum]] = {}
-            for (a, x, y), v in self.product_tensor().items():
-                rows.setdefault((x, y), {})[a] = v
-            system = [
-                (coeffs, ONE if x == y else ZERO)
-                for (x, y), coeffs in sorted(rows.items())
-            ]
-            sol = linear_solve(system, self.dim)
-            u = AlgebraElement(self, tuple(sol))
-            for x in range(self.dim):
-                e_x = self.basis_element(x)
-                if u * e_x != e_x or e_x * u != e_x:
-                    raise ValueError("algebra has no two-sided unit")
-            self._cache["unit"] = u
+            product = self.product_tensor()
+            u = scale(einsum("ab,abx->x", self.cup, product), self.vertex_weight)
+            one = delta(self.dim)
+            if einsum("a,axy->xy", u, product) != one or einsum("a,xay->xy", u, product) != one:
+                raise ValueError(
+                    "R sum_ab B^ab e_a e_b is not a two-sided unit: the algebra "
+                    "is not special (a4)"
+                )
+            coeffs = [ZERO] * self.dim
+            for (x,), v in u.items():
+                coeffs[x] = v
+            self._cache["unit"] = AlgebraElement(self, tuple(coeffs))
         return self._cache["unit"]  # type: ignore[return-value]
 
     def counit_vector(self) -> tuple[CycloNum, ...]:

@@ -340,3 +340,15 @@ def test_serialization_round_trip():
         assert b.vertex_weight == a.vertex_weight
         assert b.alpha == a.alpha
         assert algebra_to_text(b) == text
+
+
+def test_unit_requires_a_special_algebra():
+    # Doubling R keeps a two-sided unit (a solve finds one) but halves the
+    # disk's state sum, so the algebra is no longer special.
+    a = algebra("cl(1,0)")
+    c = custom_from_tensors(
+        a.node, a.cap, a.cup, a.crossing, a.twist, CycloNum(2) * a.vertex_weight,
+        a.parity,
+    )
+    with pytest.raises(ValueError, match="not special"):
+        c.unit()
