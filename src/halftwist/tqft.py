@@ -274,11 +274,15 @@ def connect_sum_pf(a: HalfTwistAlgebra, p: PinSurfacePresentation) -> CycloNum:
     Each torus contributes its handle state, with q = 0 an NS cycle and
     q = 2 an R cycle, and each crosscap its Moebius state; the partition
     function is the vertex weight times the counit of their product, tori
-    first.  The empty connect sum is the sphere.
+    first.  Each distinct handle state is built once.  The empty connect sum
+    is the sphere.
     """
     element = a.unit()
-    for qx, qy in p.torus_q:
-        element = element * handle_state(a, SECTORS[qx // 2], SECTORS[qy // 2])
+    handles: dict[tuple[int, int], AlgebraElement] = {}
+    for q in p.torus_q:
+        if q not in handles:
+            handles[q] = handle_state(a, SECTORS[q[0] // 2], SECTORS[q[1] // 2])
+        element = element * handles[q]
     for qz in p.crosscap_q:
         element = element * moebius_state(a, qz)
     return a.vertex_weight * a.counit(element)

@@ -260,6 +260,20 @@ def test_connect_sums_against_oracle():
     assert mixed == abk(PinSurfacePresentation(((2, 2),), (1,)))
 
 
+def test_connect_sum_builds_each_handle_state_once(monkeypatch):
+    from halftwist import tqft
+
+    calls = []
+    build = tqft._projector_tensor
+    monkeypatch.setattr(
+        tqft, "_projector_tensor", lambda a, sector: calls.append(sector) or build(a, sector)
+    )
+    p = parse_surface("g=3,c=0,q=[2,2;2,2;2,2|]")
+    z = connect_sum_pf(algebra("cl(1,0)"), p)
+    assert calls == ["R"]
+    assert z == abk(p) == CycloNum(-1)
+
+
 def test_klein_equals_two_crosscaps():
     a = algebra("cl(1,0)")
     for k, l in ((1, 1), (1, 3), (3, 1), (3, 3)):
