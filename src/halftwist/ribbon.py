@@ -295,7 +295,7 @@ def evaluate(diagram: RibbonDiagram, algebra: HalfTwistAlgebra) -> LinearBlock:
     """
     n, m = diagram.validate()
     dim = algebra.dim
-    tables: dict[str, dict[tuple, list]] = {}
+    tables: dict[str, tuple[dict[tuple, list], int]] = {}
 
     # Slots of the live boundary: an int marks a not-yet-materialized input
     # strand (by input position), None a materialized one whose basis value
@@ -328,14 +328,18 @@ def evaluate(diagram: RibbonDiagram, algebra: HalfTwistAlgebra) -> LinearBlock:
         for j in range(pos, pos + n_in):
             if slots[j] is not None:
                 bind(j)
-        rows_by_input = tables.get(kind)
-        if rows_by_input is None:
-            rows_by_input = tables[kind] = {}
+        if kind not in tables:
+            rows_by_input = {}
             for key, w in WEIGHTS[kind](algebra).items():
                 rows_by_input.setdefault(key[:n_in], []).append((key[n_in:], w))
+            tables[kind] = rows_by_input, max(map(len, rows_by_input.values()), default=0)
+        rows_by_input, widest = tables[kind]
         lo = sum(1 for s in slots[:pos] if s is None)
         hi = lo + n_in
-        check(sum(len(rows_by_input.get(live[lo:hi], ())) for _, live in state))
+        # len(state) * widest bounds the terms this step forms; count them
+        # exactly only when the bound passes the ceiling.
+        if len(state) * widest > CELL_CEILING:
+            check(sum(len(rows_by_input.get(live[lo:hi], ())) for _, live in state))
         new: dict = {}
         for (ins, live), v in state.items():
             rows = rows_by_input.get(live[lo:hi])

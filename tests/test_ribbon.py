@@ -11,6 +11,7 @@ from halftwist import (
     ZERO,
     ZETA,
     compose,
+    custom_from_tensors,
     evaluate,
     expand_left_twists,
     parse,
@@ -186,6 +187,17 @@ def test_guards(monkeypatch):
         evaluate(parse("bottom 2\nid id cup"), a)
     monkeypatch.setattr(ribbon, "CELL_CEILING", 256)
     assert evaluate(parse("bottom 2\nid id"), a) == LinearBlock.identity(2, 16)
+    # A twist with rows of two lengths: the step forms 2 + 1 terms.
+    base = algebra("cl(1,0)")
+    skew = custom_from_tensors(
+        base.node, base.cap, base.cup, base.crossing,
+        {(0, 0): ONE, (0, 1): ONE, (1, 1): ONE}, base.vertex_weight, base.parity,
+    )
+    monkeypatch.setattr(ribbon, "CELL_CEILING", 3)
+    assert len(evaluate(parse("bottom 1\nt+"), skew).table) == 3
+    monkeypatch.setattr(ribbon, "CELL_CEILING", 2)
+    with pytest.raises(DiagramError, match=r"\b3\b"):
+        evaluate(parse("bottom 1\nt+"), skew)
 
 
 @pytest.mark.parametrize("width", (3, 4))
