@@ -352,3 +352,13 @@ def test_unit_requires_a_special_algebra():
     )
     with pytest.raises(ValueError, match="not special"):
         c.unit()
+    # e_a e_b = e_b (and its mirror e_a e_b = e_a): R sum_a e_a is a unit on
+    # one side only.
+    half = CycloNum(Fraction(1, 2))
+    delta = {(0, 0): ONE, (1, 1): ONE}
+    swap = {(a, b, b, a): ONE for a in range(2) for b in range(2)}
+    for keep in (1, 0):
+        node = {(a, b, (a, b)[keep]): ONE for a in range(2) for b in range(2)}
+        one_sided = custom_from_tensors(node, delta, delta, swap, delta, half, (0, 0))
+        with pytest.raises(ValueError, match="not special"):
+            one_sided.unit()
