@@ -224,7 +224,6 @@ def test_single_generator_is_its_tensor(spec, kind, width):
 
 
 def test_singular_twist_errors():
-    from halftwist import custom_from_tensors
     from halftwist.linalg import SingularMatrixError
 
     base = algebra("cl(1,0)")

@@ -343,8 +343,8 @@ def test_serialization_round_trip():
 
 
 def test_unit_requires_a_special_algebra():
-    # Doubling R keeps a two-sided unit (a solve finds one) but halves the
-    # disk's state sum, so the algebra is no longer special.
+    # Doubling R keeps a two-sided unit (a solve finds one), but the disk's
+    # state sum becomes twice that unit, so the algebra is no longer special.
     a = algebra("cl(1,0)")
     c = custom_from_tensors(
         a.node, a.cap, a.cup, a.crossing, a.twist, CycloNum(2) * a.vertex_weight,
