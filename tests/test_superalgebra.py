@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -362,3 +363,57 @@ def test_unit_requires_a_special_algebra():
         one_sided = custom_from_tensors(node, delta, delta, swap, delta, half, (0, 0))
         with pytest.raises(ValueError, match="not special"):
             one_sided.unit()
+
+
+# sha256 of algebra_to_text plus (spec, generators) over CONSTRUCTOR_ALPHAS,
+# one digest per spec, written by the constructors before the Clifford
+# builders shared one monomial routine.
+CONSTRUCTOR_ALPHAS = ("1", "-1", "z-z^3", "1/3")
+CONSTRUCTOR_DIGESTS = {
+    "cl(0,0)": "fdc68a501c00732c468f55032a7c6d45e26e5fa64ac3fe6a39e8ef71929374f3",
+    "cl(0,1)": "ce15372c88a0b3a93556a3c9b516fe9ba087f3d9f17b3094d009532dc6c0f9d5",
+    "cl(1,0)": "4395b9e72d9be12affdd36efbc05a2721ae7ca3aefc5a43435f4a879529c608a",
+    "cl(0,2)": "90415a886085201f00fd892b22a6bf32eaf6fb6bbae4038b85a11f8079e17422",
+    "cl(1,1)": "d8bc1ff7a250dddce8fb98f15122b7e03a25c20b034fc83503cf4842125290b1",
+    "cl(2,0)": "64be0bc99e661fe3044e0a3596732ceceb506077271af40ab80699c1b1432bc4",
+    "cl(0,3)": "78612525cdbddfe27a7fa844f4850a64c966688300a94a38c0847d5cb2351b53",
+    "cl(1,2)": "97b6b990745d46a3dde74744e1d1300ffc7bfd354629212a7a6457c41c665702",
+    "cl(2,1)": "4343cca8e80a7b6222eb5916c7e1a875d1ac2a3ce6a473063249a1ff51d74eef",
+    "cl(3,0)": "f8cefe776ecd77c494d8ad46663acc8cb910d337394dcf0e2c806ea44ecc1ead",
+    "cl(0,4)": "b9219ac3c63767641638f701f2f025a873f2761999fa96c749240aaa2d0d7a18",
+    "cl(1,3)": "624b4ba3ac92133f8fc815a22c7abc379bf8313d49a04df7b76d4f425381e678",
+    "cl(2,2)": "7b56387211c0e5dd7c8dd63f5bd5371eedb02ba5b5b39e8c84b1fee90e7049fa",
+    "cl(3,1)": "65b7acb492f2d7f30461fe818b51f8663cc90d8fdc7ca15ebdb9dd3852b04464",
+    "cl(4,0)": "3a59838362efe604ccf46bc120d5632c0bf7808b9589b53dfde7e03351a88f58",
+    "cl(0,5)": "04b4e355f0b253fb836bb026a27a5e609f3df882860c8602967f300f42cd545a",
+    "cl(1,4)": "5b8ad0d7b8705038bf6b0c10c138a43a4c398622ce2c279cf5c9a36f2f281638",
+    "cl(2,3)": "89dcc428926c416a7386bdfb9592ff5dc924e51827861e26e3e6d3b0a4a72886",
+    "cl(3,2)": "a38772d76c9905e0cfe5de4475bb6a78701fb9d55bc97f8a41f373fba13208a2",
+    "cl(4,1)": "650080df22d023e04016637f44edf4091d7b0d291ebfdd0a64d93876afce60d9",
+    "cl(5,0)": "7381449d33f38cf45d7bc51099b8b3af4bfa100c000fde5c5aa5c52e68e6e6c6",
+    "cl(0,6)": "55770453a25d9493a448f66fa533faad828df3551ccd982783c335e8017d306a",
+    "cl(1,5)": "033c5275513c963cdb75d232b96b66a7ab91cc9421a0b4cbe698b7ea34ea768d",
+    "cl(2,4)": "c866c4315f39d27d42ae58db78cd26cd313432e3dba373e96a6d4ba48b3bfb02",
+    "cl(3,3)": "2153fd6b2e310b8629aad15a33f85645a3fa76d8c1624d31e3b3108ec7fbbafe",
+    "cl(4,2)": "23d31b4eb8a346661be4e42466623b2c521af90807473ee2341c5cff0b1fa8fb",
+    "cl(5,1)": "773583916cee40a11af287b1f512bcf672e6933b4e89233247c6a11faeb7fd62",
+    "cl(6,0)": "7269d13352ab61141fffaf677e9ebd960bb410654909d8b04e0fb3b391646b25",
+    "clc(0)": "9e83ff0e321533cff27e76ea7b0f4a02a9369b65995d306be3c7b124b72277dd",
+    "clc(1)": "0134aaa83c77de2d8e446baba52d19f26ec11e4dbe2975a1ed8fcfb86d728591",
+    "clc(2)": "a584156405b9f82a0ace96ee4ad6812682f70868abc914d827c364e46ad36ae5",
+    "clc(3)": "13bf6441ca99278c34ed6c63a6021cb57d209b226a9b9a675edce7f9ad358219",
+    "clc(4)": "7b2b30621b0830aabf47650bd1888e4cd54bde208fefb12668916eab932a3e91",
+    "clc(5)": "cf75f17624808ada0c79f25090f83f3f8080fe41ae1e30844d60c21d64bfb2d7",
+    "cl(1,0) (x) clc(1)": "121eb7a26acc32eac69d425c838c7c34399cf3b2db1beb2338b50eb4f9de2c36",
+    "clc(1) (+) clc(1)": "15ae38e508392af21fae3678526c9ab372b8a7717448aac22965b46bea4b0224",
+    "clc(2) (x) cl(0,1)": "58e3fab6b85956657fe6ab008e771efacb2b798903dd255467f978ba03de34e2",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(CONSTRUCTOR_DIGESTS))
+def test_constructor_output_is_pinned(spec):
+    h = hashlib.sha256()
+    for alpha in CONSTRUCTOR_ALPHAS:
+        a = parse_algebra(spec, default_alpha=CycloNum.parse(alpha))
+        h.update((algebra_to_text(a) + repr((a.spec, a.generators))).encode())
+    assert h.hexdigest() == CONSTRUCTOR_DIGESTS[spec]
