@@ -17,6 +17,9 @@ the basis.
 The constructors in this module produce the superalgebra family: real and
 complex Clifford algebras, matrix superalgebras R(p|q), direct sums and
 graded (super)tensor products, plus a raw wrapper for hand-entered tensors.
+Both Clifford families come from one routine over the monomials in a list
+of generators: anticommuting odd generators G_j, plus a central even I with
+I^2 = -1 for the complex family.
 For every constructor the crossing is the graded swap
 
     crossing(e_a (x) e_b) = (-1)^{|a||b|} e_b (x) e_a
@@ -30,8 +33,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, islice
+from math import prod
 
-from .cyclo import CycloNum, ZERO, ONE, I, SQRT2, zeta_pow
+from .cyclo import CycloNum, ZERO, ONE, SQRT2, zeta_pow
 from .linalg import (
     SparseTensor,
     SingularMatrixError,
@@ -43,8 +48,7 @@ from .linalg import (
     tensors_differ,
 )
 
-MAX_CLIFFORD_GENERATORS = 8
-MAX_COMPLEX_CLIFFORD_GENERATORS = 7
+MAX_CLIFFORD_GENERATORS = 8  # every generator counts, the I of clc(n) included
 
 __all__ = [
     "HalfTwistAlgebra",
@@ -61,18 +65,6 @@ __all__ = [
     "algebra_to_text",
     "algebra_from_text",
 ]
-
-
-def two_pow_half(k: int) -> CycloNum:
-    """2^(k/2) as an exact field element (sqrt(2) = zeta - zeta^3)."""
-    if k >= 0:
-        whole = CycloNum(Fraction(2) ** (k // 2))
-    else:
-        whole = CycloNum(Fraction(1, 2 ** ((-k + 1) // 2)))
-        if k % 2:
-            whole = whole * SQRT2  # 2^(k/2) = sqrt2 * 2^((k-1)/2)
-        return whole
-    return whole * SQRT2 if k % 2 else whole
 
 
 class HalfTwistAlgebra:
@@ -349,153 +341,106 @@ def _self_sign(mask: int) -> int:
     return -1 if (k * (k - 1) // 2) & 1 else 1
 
 
-def _gamma_label(mask: int, n: int) -> str:
-    if mask == 0:
-        return "1"
-    gens = [str(j + 1) for j in range(n) if (mask >> (n - 1 - j)) & 1]
-    return "".join(f"G{g}" for g in gens)
+def _clifford(
+    gens, scale_exp: int, weight_exp: int, alpha: CycloNum, spec: str
+) -> HalfTwistAlgebra:
+    """Half twist algebra spanned by the monomials in a list of generators.
 
-
-def build_clifford_real(p: int, q: int, alpha=1) -> HalfTwistAlgebra:
-    """Half twist algebra of the real Clifford algebra with signature (p, q).
-
-    Generators G_1 .. G_n (n = p + q) square to +1 and anticommute; the first
-    p come from the positive part of the signature, the rest absorb an i when
-    the algebra is complexified.  Basis monomials are ordered
-    lexicographically in their exponent bit string with the unit first.
+    Each generator is (label, odd, square, phase, star): odd generators
+    anticommute with each other and even ones are central, square (+1 or
+    -1) is its square, its half twist is zeta^phase and star (+1 or -1) is
+    its star sign.  The first generator is the highest bit of a monomial's
+    index.  The trace form is alpha * sqrt(2)^scale_exp on the unit and
+    every internal vertex weighs alpha * sqrt(2)^weight_exp.  gens is read
+    lazily, so a spec past the cap is refused before anything is built.
     """
-    if p < 0 or q < 0:
-        raise ValueError("signature must be nonnegative")
-    n = p + q
-    if n > MAX_CLIFFORD_GENERATORS:
-        raise ValueError(f"p + q must stay at or below {MAX_CLIFFORD_GENERATORS}")
-    alpha = _check_alpha(alpha)
+    gens = tuple(islice(gens, MAX_CLIFFORD_GENERATORS + 1))
+    if len(gens) > MAX_CLIFFORD_GENERATORS:
+        raise ValueError(f"{spec} has more than {MAX_CLIFFORD_GENERATORS} generators")
+    n = len(gens)
     dim = 1 << n
-    scale_eps = alpha * two_pow_half(n)
+    by_bit = {1 << (n - 1 - j): g for j, g in enumerate(gens)}
 
-    labels = tuple(_gamma_label(m, n) for m in range(dim))
-    parity = tuple(m.bit_count() & 1 for m in range(dim))
+    def bits(field: int, value) -> int:
+        return sum(bit for bit, g in by_bit.items() if g[field] == value)
 
-    cap: SparseTensor = {}
-    cup: SparseTensor = {}
+    odd, negative = bits(1, True), bits(2, -1)
+
+    # Every cap and node entry is +-form and every cup entry +-1/form.
+    form = alpha * SQRT2 ** scale_exp
+    form_inv = form.inverse()
+    cap_of, cup_of = {1: form, -1: -form}, {1: form_inv, -1: -form_inv}
+
+    labels, star_sign, twist = [], [], {}
     for m in range(dim):
-        b_mm = CycloNum(_self_sign(m)) * scale_eps
-        cap[(m, m)] = b_mm
-        cup[(m, m)] = b_mm.inverse()
+        members = [g for bit, g in by_bit.items() if m & bit]
+        labels.append("".join(g[0] for g in members) or "1")
+        star_sign.append(_self_sign(m & odd) * prod(g[4] for g in members))
+        twist[(m, m)] = zeta_pow(sum(g[3] for g in members))
+    parity = tuple((m & odd).bit_count() & 1 for m in range(dim))
 
     node: SparseTensor = {}
     for a in range(dim):
         for b in range(dim):
             c = a ^ b
-            val = CycloNum(_monomial_sign(a, b) * _self_sign(c)) * scale_eps
-            node[(a, b, c)] = val
-
-    # Generators with index above p correspond to the q low bits of the mask.
-    qmask = (1 << q) - 1 if q else 0
-    twist: SparseTensor = {}
-    for m in range(dim):
-        phase = zeta_pow(2 * m.bit_count())
-        if (m & qmask).bit_count() & 1:
-            phase = -phase
-        twist[(m, m)] = phase
-
-    star: SparseTensor = {(m, m): CycloNum(_self_sign(m)) for m in range(dim)}
+            sign = _monomial_sign(a & odd, b & odd) * star_sign[c]
+            if (a & b & negative).bit_count() & 1:
+                sign = -sign
+            node[(a, b, c)] = cap_of[sign]
 
     return HalfTwistAlgebra(
         dim=dim,
-        labels=labels,
+        labels=tuple(labels),
         parity=parity,
         node=node,
-        cap=cap,
-        cup=cup,
+        cap={(m, m): cap_of[s] for m, s in enumerate(star_sign)},
+        cup={(m, m): cup_of[s] for m, s in enumerate(star_sign)},
         crossing=_swap_crossing(parity),
         twist=twist,
-        vertex_weight=alpha * two_pow_half(-n),
+        vertex_weight=alpha * SQRT2 ** weight_exp,
         alpha=alpha,
-        star=star,
-        spec=f"cl({p},{q})",
-        generators=tuple(1 << t for t in range(n)),
+        star={(m, m): CycloNum(s) for m, s in enumerate(star_sign)},
+        spec=spec,
+        generators=tuple(sorted(by_bit)),
     )
+
+
+def build_clifford_real(p: int, q: int, alpha=1) -> HalfTwistAlgebra:
+    """Half twist algebra of the real Clifford algebra with signature (p, q).
+
+    Built by the monomial routine shared with build_clifford_complex.
+    Generators G_1 .. G_n (n = p + q) are odd, square to +1 and anticommute;
+    the first p have half twist i, the rest absorb an i when the algebra is
+    complexified and have half twist -i.  Basis monomials are ordered
+    lexicographically in their exponent bit string with the unit first.
+    The trace form is scaled by alpha * sqrt(2)^n and the vertex weight is
+    alpha * sqrt(2)^-n.
+    """
+    if p < 0 or q < 0:
+        raise ValueError("signature must be nonnegative")
+    alpha = _check_alpha(alpha)
+    n = p + q
+    gens = ((f"G{j + 1}", True, 1, 2 if j < p else 6, 1) for j in range(n))
+    return _clifford(gens, n, -n, alpha, f"cl({p},{q})")
 
 
 def build_clifford_complex(n: int, alpha=1) -> HalfTwistAlgebra:
     """Half twist algebra of the complex Clifford algebra on n generators.
 
-    Viewed as a real superalgebra: anticommuting odd generators G_j with
-    G_j^2 = +1 plus an even central element I with I^2 = -1.  Basis index is
-    (gamma mask, I exponent M) flattened with M least significant.
+    Built by the monomial routine shared with build_clifford_real, viewed
+    as a real superalgebra: odd anticommuting generators G_1 .. G_n with
+    G_j^2 = +1 and half twist i, then an even central I with I^2 = -1,
+    half twist -1 and star sign -1.  I is the lowest bit of a basis index.
+    The trace form is scaled by alpha * sqrt(2)^(n+2) and the vertex weight
+    is alpha * sqrt(2)^-n.
     """
     if n < 0:
         raise ValueError("generator count must be nonnegative")
-    if n > MAX_COMPLEX_CLIFFORD_GENERATORS:
-        raise ValueError(f"n must stay at or below {MAX_COMPLEX_CLIFFORD_GENERATORS}")
     alpha = _check_alpha(alpha)
-    dim = 1 << (n + 1)
-    scale_eps = alpha * two_pow_half(n + 2)
-
-    def split(idx):
-        return idx >> 1, idx & 1
-
-    labels = []
-    parity = []
-    for idx in range(dim):
-        mask, m_i = split(idx)
-        lab = _gamma_label(mask, n)
-        if m_i:
-            lab = "I" if lab == "1" else lab + "I"
-        labels.append(lab)
-        parity.append(mask.bit_count() & 1)
-
-    cap: SparseTensor = {}
-    cup: SparseTensor = {}
-    for idx in range(dim):
-        mask, m_i = split(idx)
-        sign = _self_sign(mask) * (-1 if m_i else 1)
-        b_val = CycloNum(sign) * scale_eps
-        cap[(idx, idx)] = b_val
-        cup[(idx, idx)] = b_val.inverse()
-
-    node: SparseTensor = {}
-    for a in range(dim):
-        sa, ma = split(a)
-        for b in range(dim):
-            sb, mb = split(b)
-            mask_c = sa ^ sb
-            m_c = ma ^ mb
-            c = (mask_c << 1) | m_c
-            sign = _monomial_sign(sa, sb)
-            if ma and mb:  # I^2 = -1
-                sign = -sign
-            sign *= _self_sign(mask_c) * (-1 if m_c else 1)
-            node[(a, b, c)] = CycloNum(sign) * scale_eps
-
-    twist: SparseTensor = {}
-    star: SparseTensor = {}
-    for idx in range(dim):
-        mask, m_i = split(idx)
-        phase = zeta_pow(2 * mask.bit_count())
-        if m_i:
-            phase = -phase
-        twist[(idx, idx)] = phase
-        s = _self_sign(mask) * (-1 if m_i else 1)
-        star[(idx, idx)] = CycloNum(s)
-
-    gens = tuple(sorted([1] + [(1 << t) << 1 for t in range(n)]))
-    return HalfTwistAlgebra(
-        dim=dim,
-        labels=tuple(labels),
-        parity=tuple(parity),
-        node=node,
-        cap=cap,
-        cup=cup,
-        crossing=_swap_crossing(tuple(parity)),
-        twist=twist,
-        vertex_weight=alpha * two_pow_half(-n),
-        alpha=alpha,
-        star=star,
-        spec=f"clc({n})",
-        generators=gens,
+    gens = chain(
+        ((f"G{j + 1}", True, 1, 2, 1) for j in range(n)), [("I", False, -1, 4, -1)]
     )
+    return _clifford(gens, n + 2, -n, alpha, f"clc({n})")
 
 
 def build_matrix(p: int, q: int, alpha=1) -> HalfTwistAlgebra:
@@ -642,56 +587,38 @@ def supertensor(a: HalfTwistAlgebra, b: HalfTwistAlgebra) -> HalfTwistAlgebra:
     _require_swap(b, "supertensor")
     db = b.dim
     dim = a.dim * db
+    pa, pb = a.parity, b.parity
 
-    def idx(x, i):
-        return x * db + i
+    def kron(ta: SparseTensor, tb: SparseTensor, odd) -> SparseTensor:
+        """va * vb at each combined index, negated where odd(ka, kb) is set."""
+        out: SparseTensor = {}
+        for ka, va in ta.items():
+            for kb, vb in tb.items():
+                v = va * vb
+                out[tuple(x * db + i for x, i in zip(ka, kb))] = -v if odd(ka, kb) else v
+        return out
 
-    labels = tuple(
-        f"{la}*{lb}" for la in a.labels for lb in b.labels
+    def form_sign(ka, kb):
+        return pb[kb[0]] & pa[ka[1]]
+
+    labels = tuple(f"{la}*{lb}" for la in a.labels for lb in b.labels)
+    parity = tuple((u + v) & 1 for u in pa for v in pb)
+    cap = kron(a.cap, b.cap, form_sign)
+    cup = kron(a.cup, b.cup, form_sign)
+    node = kron(
+        a.node,
+        b.node,
+        lambda ka, kb: (pb[kb[0]] & pa[ka[1]]) ^ ((pb[kb[0]] ^ pb[kb[1]]) & pa[ka[2]]),
     )
-    parity = tuple(
-        (pa + pb) & 1 for pa in a.parity for pb in b.parity
-    )
-
-    minus = CycloNum(-1)
-
-    cap: SparseTensor = {}
-    cup: SparseTensor = {}
-    for (x, y), va in a.cap.items():
-        for (i, j), vb in b.cap.items():
-            sign = minus if b.parity[i] and a.parity[y] else ONE
-            cap[(idx(x, i), idx(y, j))] = sign * va * vb
-    for (x, y), va in a.cup.items():
-        for (i, j), vb in b.cup.items():
-            sign = minus if b.parity[i] and a.parity[y] else ONE
-            cup[(idx(x, i), idx(y, j))] = sign * va * vb
-
-    node: SparseTensor = {}
-    for (x, y, z), va in a.node.items():
-        for (i, j, k), vb in b.node.items():
-            s = (b.parity[i] & a.parity[y]) ^ (
-                ((b.parity[i] + b.parity[j]) & 1) & a.parity[z]
-            )
-            val = va * vb
-            node[(idx(x, i), idx(y, j), idx(z, k))] = -val if s else val
-
-    twist: SparseTensor = {}
-    for (x, y), va in a.twist.items():
-        for (i, j), vb in b.twist.items():
-            twist[(idx(x, i), idx(y, j))] = va * vb
-
+    twist = kron(a.twist, b.twist, lambda ka, kb: 0)
     star = None
     if a.star is not None and b.star is not None:
-        star = {}
-        for (x, y), va in a.star.items():
-            for (i, j), vb in b.star.items():
-                sign = minus if a.parity[x] and b.parity[i] else ONE
-                star[(idx(x, i), idx(y, j))] = sign * va * vb
+        star = kron(a.star, b.star, lambda ka, kb: pa[ka[0]] & pb[kb[0]])
 
     gens = None
     if a.generators is not None and b.generators is not None:
-        gset = {idx(g, i) for g in a.generators for i in range(db)}
-        gset |= {idx(x, g) for x in range(a.dim) for g in b.generators}
+        gset = {g * db + i for g in a.generators for i in range(db)}
+        gset |= {x * db + g for x in range(a.dim) for g in b.generators}
         gens = tuple(sorted(gset))
     spec = None
     if a.spec and b.spec:

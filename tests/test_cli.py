@@ -127,6 +127,8 @@ def test_usage_errors_exit_two(tmp_path):
     assert code == 2
     code, _ = run("partition", "wat", "sphere")
     assert code == 2
+    code, _ = run("partition", "clc(8)", "sphere")
+    assert code == 2
     code, _ = run("partition", "cl(1,0)", "g=1,c=0,q=[1,2|]")
     assert code == 2
     code, _ = run("stack", "cl(1,0)", "cl(0,1)", "g=1,c=1,q=[0,2|]")

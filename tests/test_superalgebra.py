@@ -1,4 +1,5 @@
 import hashlib
+import re
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from halftwist import (
     ZERO,
     algebra_from_text,
     algebra_to_text,
+    build_clifford_complex,
     build_clifford_real,
     build_matrix,
     custom_from_tensors,
@@ -55,6 +57,18 @@ def test_clifford_rejects_bad_alpha():
         build_clifford_real(1, 0, I)
     with pytest.raises(ValueError):
         build_clifford_real(5, 4)
+
+
+def test_clifford_generator_cap():
+    # The cap counts every generator, the I of clc(n) included.
+    assert build_clifford_complex(7).dim == 256
+    for build, spec in (
+        (lambda: build_clifford_complex(8), "clc(8)"),
+        (lambda: build_clifford_real(9, 0), "cl(9,0)"),
+        (lambda: build_clifford_real(5, 4), "cl(5,4)"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(f"{spec} has more than 8 generators")):
+            build()
 
 
 def test_clifford_anticommutation():
