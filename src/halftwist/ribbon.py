@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 
 from .cyclo import CycloNum, ZERO, ONE
-from .linalg import CELL_CEILING
+from .linalg import CELL_CEILING, prune, scale
 from .superalgebra import HalfTwistAlgebra
 
 __all__ = [
@@ -231,13 +231,14 @@ class LinearBlock:
 
     Keys are (input tuple, output tuple) pairs of basis indices; absent
     entries are zero.  A closed diagram gives n = m = 0 and the table holds a
-    single scalar at ((), ()).
+    single scalar at ((), ()).  The table is kept as given, so it must hold
+    no zero entry.
     """
 
     def __init__(self, n: int, m: int, table: dict):
         self.n = n
         self.m = m
-        self.table = {k: v for k, v in table.items() if not v.is_zero()}
+        self.table = table
 
     @classmethod
     def identity(cls, width: int, dim: int) -> "LinearBlock":
@@ -267,7 +268,7 @@ class LinearBlock:
                 acc = out.get(key)
                 term = v1 * v2
                 out[key] = term if acc is None else acc + term
-        return LinearBlock(self.n, other.m, out)
+        return LinearBlock(self.n, other.m, prune(out))
 
     def entries(self):
         return sorted(self.table.items())
@@ -366,5 +367,4 @@ def evaluate(diagram: RibbonDiagram, algebra: HalfTwistAlgebra) -> LinearBlock:
         if slots[pos] is not None:
             bind(pos)
 
-    weight = algebra.vertex_weight ** diagram.r_power
-    return LinearBlock(n, m, {key: v * weight for key, v in state.items()})
+    return LinearBlock(n, m, scale(state, algebra.vertex_weight ** diagram.r_power))

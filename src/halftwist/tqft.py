@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cyclo import CycloNum, ZERO, zeta_pow, real_sqrt
-from .linalg import SparseRow, SparseTensor, einsum, nullspace, row_reduce
+from .linalg import SparseRow, SparseTensor, einsum, nullspace, row_reduce, scale
 from .pingeo import PinSurfacePresentation, parse_presentation
 from .ribbon import LinearBlock, evaluate, parse
 from .superalgebra import AlgebraElement, HalfTwistAlgebra
@@ -183,8 +183,7 @@ def _projector_tensor(a: HalfTwistAlgebra, sector: str) -> SparseTensor:
     cup = a.cup if sector == "NS" else einsum("ab,bp->ap", a.cup, a.full_twist())
     product = a.product_tensor()
     table = einsum("ab,bxcd,cdf,afy->xy", cup, a.crossing, product, product)
-    r = a.vertex_weight
-    return {key: r * v for key, v in table.items()}
+    return scale(table, a.vertex_weight)
 
 
 def projector(a: HalfTwistAlgebra, sector: str) -> LinearBlock:

@@ -132,6 +132,20 @@ def test_compose_halves():
     assert evaluate(d, a).scalar() == ZETA
 
 
+def test_then_drops_cancelled_entries():
+    first = LinearBlock(1, 1, {((0,), (0,)): ONE, ((0,), (1,)): ONE})
+    second = LinearBlock(1, 1, {((0,), (0,)): ONE, ((1,), (0,)): -ONE})
+    assert first.then(second).table == {}
+
+
+def test_zero_vertex_weight_gives_an_empty_table():
+    a = algebra("cl(1,0)")
+    c = custom_from_tensors(
+        a.node, a.cap, a.cup, a.crossing, a.twist, 0, a.parity, star=a.star
+    )
+    assert evaluate(parse("R 1 / cup / cap"), c).table == {}
+
+
 def test_compose_width_mismatch():
     with pytest.raises(DiagramError, match="compose"):
         compose(parse("cup"), parse("bottom 3 / cap id"))
