@@ -67,14 +67,6 @@ class CycloNum:
             return CycloNum(x)
         raise TypeError(f"cannot interpret {x!r} as an element of Q(zeta_8)")
 
-    @classmethod
-    def zero(cls) -> "CycloNum":
-        return ZERO
-
-    @classmethod
-    def one(cls) -> "CycloNum":
-        return ONE
-
     # -- ring operations -------------------------------------------------
 
     def __add__(self, other):
@@ -180,10 +172,6 @@ class CycloNum:
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
-
-    def is_rational(self) -> bool:
-        c = self.coeffs
-        return c[1] == 0 and c[2] == 0 and c[3] == 0
 
     def is_real(self) -> bool:
         c = self.coeffs
