@@ -1,12 +1,16 @@
-"""Sparse tensor contraction and exact dense linear algebra over Q(zeta_8).
+"""Sparse tensor contraction, sparse exact elimination, dense positivity test.
 
-Tensors are dicts mapping index tuples to nonzero CycloNum values.  einsum()
-contracts any number of them by pairwise joins, never materializing a dense
-table.  The order of the joins is planned, not read off the spec: at each
-step a greedy planner joins the two remaining operands whose join forms the
-fewest terms, counted exactly as the sum over shared-index keys of
-|bucket_1| * |bucket_2|.  Only pairs that share a letter compete unless none
-do, and ties go to the leftmost pair.  The plan depends on the operands'
+Tensors are dicts mapping index tuples to nonzero CycloNum values.  Products
+and permutations of zero-free tables are zero-free, so zeros are dropped only
+at outside input (custom_from_tensors, element) and where sums form (_join,
+AlgebraElement.__add__, LinearBlock.then, the ribbon step, row_reduce).
+
+einsum() contracts any number of tensors by pairwise joins, never
+materializing a dense table.  The order of the joins is planned, not read off
+the spec: at each step a greedy planner joins the two remaining operands whose
+join forms the fewest terms, counted exactly as the sum over shared-index keys
+of |bucket_1| * |bucket_2|.  Only pairs that share a letter compete unless
+none do, and ties go to the leftmost pair.  The plan depends on the operands'
 letters and entries alone, so an identity can be written exactly as its
 equation reads and still be contracted cheaply.  Before each join the term
 count is checked against CELL_CEILING, the same ceiling ribbon.evaluate puts
@@ -104,9 +108,9 @@ def einsum(spec: str, *tensors: SparseTensor) -> SparseTensor:
         del ops[j]
     cur, cur_idx, _ = ops[0]
     if cur_idx == out_idx:
-        return prune(cur)
+        return cur
     perm = [cur_idx.index(c) for c in out_idx]
-    return prune({tuple(k[p] for p in perm): v for k, v in cur.items()})
+    return {tuple(k[p] for p in perm): v for k, v in cur.items()}
 
 
 def _cheapest_pair(ops) -> tuple[int, int, int]:

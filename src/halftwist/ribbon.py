@@ -367,4 +367,5 @@ def evaluate(diagram: RibbonDiagram, algebra: HalfTwistAlgebra) -> LinearBlock:
         if slots[pos] is not None:
             bind(pos)
 
-    return LinearBlock(n, m, scale(state, algebra.vertex_weight ** diagram.r_power))
+    weight = algebra.vertex_weight ** diagram.r_power
+    return LinearBlock(n, m, scale(state, weight) if diagram.r_power else state)

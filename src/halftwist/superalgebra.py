@@ -93,14 +93,14 @@ class HalfTwistAlgebra:
         self.dim = dim
         self.labels = labels
         self.parity = parity
-        self.node = prune(node)
-        self.cap = prune(cap)
-        self.cup = prune(cup)
-        self.crossing = prune(crossing)
-        self.twist = prune(twist)
+        self.node = node
+        self.cap = cap
+        self.cup = cup
+        self.crossing = crossing
+        self.twist = twist
         self.vertex_weight = vertex_weight
         self.alpha = alpha
-        self.star = prune(star) if star is not None else None
+        self.star = star
         self.spec = spec
         self.generators = generators
         self._cache: dict[str, object] = {}
@@ -112,15 +112,13 @@ class HalfTwistAlgebra:
     # -- elements ---------------------------------------------------------
 
     def element(self, coeffs) -> "AlgebraElement":
-        coeffs = tuple(CycloNum.coerce(c) for c in coeffs)
+        coeffs = [CycloNum.coerce(c) for c in coeffs]
         if len(coeffs) != self.dim:
             raise ValueError(f"expected {self.dim} coefficients, got {len(coeffs)}")
-        return AlgebraElement(self, coeffs)
+        return AlgebraElement(self, prune({(x,): c for x, c in enumerate(coeffs)}))
 
     def basis_element(self, a: int) -> "AlgebraElement":
-        coeffs = [ZERO] * self.dim
-        coeffs[a] = ONE
-        return AlgebraElement(self, tuple(coeffs))
+        return AlgebraElement(self, {(a,): ONE})
 
     # -- derived tensors (cached) ------------------------------------------
 
@@ -145,38 +143,19 @@ class HalfTwistAlgebra:
                     "R sum_ab B^ab e_a e_b is not a two-sided unit: the algebra "
                     "is not special (a4)"
                 )
-            coeffs = [ZERO] * self.dim
-            for (x,), v in u.items():
-                coeffs[x] = v
-            self._cache["unit"] = AlgebraElement(self, tuple(coeffs))
+            self._cache["unit"] = AlgebraElement(self, u)
         return self._cache["unit"]  # type: ignore[return-value]
 
     def counit_vector(self) -> tuple[CycloNum, ...]:
         """counit(e_x) = eta(1, e_x)."""
-        if "counit" not in self._cache:
-            u = self.unit().coeffs
-            out = [ZERO] * self.dim
-            for (a, x), v in self.cap.items():
-                if not u[a].is_zero():
-                    out[x] = out[x] + u[a] * v
-            self._cache["counit"] = tuple(out)
-        return self._cache["counit"]  # type: ignore[return-value]
+        eps = einsum("a,ax->x", self.unit().vector, self.cap)
+        return AlgebraElement(self, eps).coeffs
 
     def counit(self, x: "AlgebraElement") -> CycloNum:
-        eps = self.counit_vector()
-        total = ZERO
-        for a, c in enumerate(x.coeffs):
-            if not c.is_zero():
-                total = total + c * eps[a]
-        return total
+        return self.eta(self.unit(), x)
 
     def eta(self, x: "AlgebraElement", y: "AlgebraElement") -> CycloNum:
-        total = ZERO
-        for (a, b), v in self.cap.items():
-            xa, yb = x.coeffs[a], y.coeffs[b]
-            if not xa.is_zero() and not yb.is_zero():
-                total = total + xa * yb * v
-        return total
+        return einsum("a,b,ab->", x.vector, y.vector, self.cap).get((), ZERO)
 
     def full_twist(self) -> SparseTensor:
         """phi_a^b = lam_ac^bd B^ce B_de, the square of the half twist."""
@@ -210,12 +189,8 @@ class HalfTwistAlgebra:
         """The antilinear map: conjugate coefficients, then apply the matrix."""
         if self.star is None:
             raise ValueError("algebra carries no star structure")
-        out = [ZERO] * self.dim
-        for (a, b), v in self.star.items():
-            xa = x.coeffs[a]
-            if not xa.is_zero():
-                out[b] = out[b] + xa.conjugate() * v
-        return AlgebraElement(self, tuple(out))
+        conj = {k: v.conjugate() for k, v in x.vector.items()}
+        return AlgebraElement(self, einsum("a,ab->b", conj, self.star))
 
     def inner_product(self, x: "AlgebraElement", y: "AlgebraElement") -> CycloNum:
         """<x, y> = eta(star x, y), sesquilinear in the first slot."""
@@ -230,29 +205,38 @@ class HalfTwistAlgebra:
 
 @dataclass(frozen=True)
 class AlgebraElement:
-    """A vector in a half twist algebra, stored over the basis."""
+    """A vector in a half twist algebra.
+
+    vector is a rank-1 SparseTensor mapping (x,) to the nonzero coefficient
+    of e_x, so the product, the forms and the star map are one einsum each.
+    Two elements are equal when they belong to the same algebra object and
+    have the same nonzero coefficients.  Like the dict it holds, an element
+    is unhashable: hash() raises TypeError.
+    """
 
     algebra: HalfTwistAlgebra
-    coeffs: tuple[CycloNum, ...]
+    vector: SparseTensor
+
+    @property
+    def coeffs(self) -> tuple[CycloNum, ...]:
+        """Every coefficient over the basis, zeros included."""
+        return tuple(self.vector.get((x,), ZERO) for x in range(self.algebra.dim))
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check(other)
-        return AlgebraElement(
-            self.algebra, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
+        total = dict(self.vector)
+        for k, v in other.vector.items():
+            total[k] = total[k] + v if k in total else v
+        return AlgebraElement(self.algebra, prune(total))
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._check(other)
-        return AlgebraElement(
-            self.algebra, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
-        )
+        return self + (-other)
 
     def __neg__(self):
-        return AlgebraElement(self.algebra, tuple(-a for a in self.coeffs))
+        return AlgebraElement(self.algebra, {k: -v for k, v in self.vector.items()})
 
     def scaled(self, s) -> "AlgebraElement":
-        s = CycloNum.coerce(s)
-        return AlgebraElement(self.algebra, tuple(s * a for a in self.coeffs))
+        return AlgebraElement(self.algebra, scale(self.vector, CycloNum.coerce(s)))
 
     def __rmul__(self, s):
         if isinstance(s, (int, Fraction, CycloNum)):
@@ -263,26 +247,20 @@ class AlgebraElement:
         if isinstance(other, (int, Fraction, CycloNum)):
             return self.scaled(other)
         self._check(other)
-        out = [ZERO] * self.algebra.dim
-        for (a, b, c), v in self.algebra.product_tensor().items():
-            xa, yb = self.coeffs[a], other.coeffs[b]
-            if not xa.is_zero() and not yb.is_zero():
-                out[c] = out[c] + xa * yb * v
-        return AlgebraElement(self.algebra, tuple(out))
+        product = self.algebra.product_tensor()
+        vec = einsum("a,b,abc->c", self.vector, other.vector, product)
+        return AlgebraElement(self.algebra, vec)
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
+        return not self.vector
 
     def _check(self, other):
         if not isinstance(other, AlgebraElement) or other.algebra is not self.algebra:
             raise ValueError("elements belong to different algebras")
 
     def render(self) -> str:
-        parts = [
-            f"({c!r})*{lab}"
-            for c, lab in zip(self.coeffs, self.algebra.labels)
-            if not c.is_zero()
-        ]
+        labels = self.algebra.labels
+        parts = [f"({self.vector[k]!r})*{labels[k[0]]}" for k in sorted(self.vector)]
         return " + ".join(parts) if parts else "0"
 
     def __repr__(self):
@@ -648,7 +626,7 @@ def _validate_shape(t: SparseTensor, arity: int, dim: int, name: str) -> SparseT
         if any(not isinstance(i, int) or i < 0 or i >= dim for i in k):
             raise ValueError(f"{name} index {k} out of range for dim {dim}")
         out[k] = CycloNum.coerce(v)
-    return out
+    return prune(out)
 
 
 def custom_from_tensors(
@@ -666,7 +644,7 @@ def custom_from_tensors(
     """Wrap raw tensors without validation.
 
     Shapes are checked against the common dimension (the length of the
-    parity sequence); everything else is the axiom checker's job.
+    parity sequence) and zeros are dropped; the rest is the checker's job.
     """
     parity = tuple(int(p) & 1 for p in parity)
     dim = len(parity)

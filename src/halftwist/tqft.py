@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cyclo import CycloNum, ZERO, zeta_pow, real_sqrt
-from .linalg import SparseRow, SparseTensor, einsum, nullspace, row_reduce, scale
+from .linalg import SparseTensor, einsum, nullspace, row_reduce, scale
 from .pingeo import PinSurfacePresentation, parse_presentation
 from .ribbon import LinearBlock, evaluate, parse
 from .superalgebra import AlgebraElement, HalfTwistAlgebra
@@ -147,17 +147,13 @@ def state_space(a: HalfTwistAlgebra, sector: str) -> StateSpace:
     the reduced echelon form of the span of its parts.
     """
     raw_basis = nullspace(_sector_rows(a, sector).values(), a.dim)
-    phi = a.full_twist()
-    evens: list[SparseRow] = []
-    odds: list[SparseRow] = []
-    for vec in raw_basis:
-        phiv = dict.fromkeys(vec, ZERO)
-        for (x, y), v in phi.items():
-            if x in vec:
-                phiv[y] = phiv.get(y, ZERO) + vec[x] * v
-        # Halving a vector changes no span, so the parts are left unhalved.
-        evens.append({c: vec.get(c, ZERO) + v for c, v in phiv.items()})
-        odds.append({c: vec.get(c, ZERO) - v for c, v in phiv.items()})
+    raw = {(i, x): v for i, vec in enumerate(raw_basis) for x, v in vec.items()}
+    # Halving a vector changes no span, so the parts are left unhalved.
+    evens = [dict(vec) for vec in raw_basis]
+    odds = [dict(vec) for vec in raw_basis]
+    for (i, y), v in einsum("ix,xy->iy", raw, a.full_twist()).items():
+        evens[i][y] = evens[i].get(y, ZERO) + v
+        odds[i][y] = odds[i].get(y, ZERO) - v
 
     even_rows = row_reduce(evens)
     odd_rows = row_reduce(odds)
@@ -170,8 +166,7 @@ def state_space(a: HalfTwistAlgebra, sector: str) -> StateSpace:
     parities = []
     for parity, rows in enumerate((even_rows, odd_rows)):
         for p in sorted(rows):
-            coeffs = tuple(rows[p].get(c, ZERO) for c in range(a.dim))
-            basis.append(AlgebraElement(a, coeffs))
+            basis.append(AlgebraElement(a, {(c,): v for c, v in rows[p].items()}))
             parities.append(parity)
     return StateSpace(sector, tuple(basis), tuple(parities))
 
@@ -213,11 +208,7 @@ def moebius_state(a: HalfTwistAlgebra, k: int) -> AlgebraElement:
     tau_k = a.twist
     for _ in range(k - 1):
         tau_k = einsum("ab,bc->ac", tau_k, a.twist)
-    vec = einsum("ab,bc,acx->x", a.cup, tau_k, a.product_tensor())
-    coeffs = [ZERO] * a.dim
-    for (x,), v in vec.items():
-        coeffs[x] = v
-    return AlgebraElement(a, tuple(coeffs))
+    return AlgebraElement(a, einsum("ab,bc,acx->x", a.cup, tau_k, a.product_tensor()))
 
 
 def handle_state(a: HalfTwistAlgebra, e1: str, e2: str) -> AlgebraElement:
@@ -235,11 +226,7 @@ def handle_state(a: HalfTwistAlgebra, e1: str, e2: str) -> AlgebraElement:
     if e2 == "R":
         op = einsum("xz,zy->xy", op, a.full_twist())
     vec = einsum("ab,by,yax->x", a.cup, op, a.product_tensor())
-    inv_r = a.vertex_weight.inverse()
-    coeffs = [ZERO] * a.dim
-    for (x,), v in vec.items():
-        coeffs[x] = v * inv_r
-    h = AlgebraElement(a, tuple(coeffs))
+    h = AlgebraElement(a, scale(vec, a.vertex_weight.inverse()))
     trace = sum((op.get((x, x), ZERO) for x in range(a.dim)), start=ZERO)
     if a.vertex_weight * a.counit(h) != trace:
         raise ValueError("handle state closure does not match the torus trace")

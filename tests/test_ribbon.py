@@ -146,6 +146,14 @@ def test_zero_vertex_weight_gives_an_empty_table():
     assert evaluate(parse("R 1 / cup / cap"), c).table == {}
 
 
+def test_diagram_without_r_is_not_scaled(monkeypatch):
+    def no_scale(*args):
+        raise AssertionError("scaled by vertex_weight ** 0")
+
+    monkeypatch.setattr(ribbon, "scale", no_scale)
+    assert evaluate(parse("cup / cap"), algebra("cl(1,0)")).scalar() == CycloNum(2)
+
+
 def test_compose_width_mismatch():
     with pytest.raises(DiagramError, match="compose"):
         compose(parse("cup"), parse("bottom 3 / cap id"))

@@ -1,4 +1,5 @@
 import hashlib
+import random
 import re
 from fractions import Fraction
 
@@ -215,6 +216,8 @@ def test_custom_round_trip_and_validation():
     # singular cap is accepted here; rejection is the checker's job
     singular = custom_from_tensors({}, {(0, 0): ZERO}, {}, {}, {}, ONE, (0, 1))
     assert singular.dim == 2
+    # Outside tensors are the one input that may hold zeros; none is stored.
+    assert singular.cap == {}
 
 
 def test_one_dimensional_custom_passes_derivations():
@@ -338,6 +341,12 @@ def test_algebra_from_text_rejects_zero_denominator():
         algebra_from_text(text)
 
 
+def test_algebra_from_text_drops_zero_entries():
+    a = algebra("cl(1,0)")
+    b = algebra_from_text(algebra_to_text(a) + "C 1 1 1 0\nB 0 1 0\nstar 1 0 0\n")
+    assert b.node == a.node and b.cap == a.cap and b.star == a.star
+
+
 def test_serialization_round_trip():
     for spec in ("cl(1,0)", "clc(1)", "mat(1|1)", "cl(1,0) (x) cl(0,1)"):
         a = algebra(spec)
@@ -431,3 +440,60 @@ def test_constructor_output_is_pinned(spec):
         a = parse_algebra(spec, default_alpha=CycloNum.parse(alpha))
         h.update((algebra_to_text(a) + repr((a.spec, a.generators))).encode())
     assert h.hexdigest() == CONSTRUCTOR_DIGESTS[spec]
+
+
+ELEMENT_SPECS = (
+    "cl(1,0)", "clc(1)", "mat(1|1)", "cl(2,0) (+) mat(2|0)",
+    "clc(1) (x) cl(1,0)", "cl(2,2)",
+)
+
+
+def _random_cyclo(rng):
+    return CycloNum(*(rng.randint(-2, 2) for _ in range(4)))
+
+
+def _random_coeffs(rng, dim):
+    """Dense coefficients, about a third of them zero."""
+    return [_random_cyclo(rng) if rng.random() < 0.7 else ZERO for _ in range(dim)]
+
+
+@pytest.mark.parametrize("alpha", ["1", "-1"])
+@pytest.mark.parametrize("spec", ELEMENT_SPECS)
+def test_element_operations_match_dense_loops(spec, alpha):
+    a = algebra(spec, alpha)
+    rng = random.Random(f"{spec}@{alpha}")
+    unit = a.unit().coeffs
+
+    def eta(x, y):
+        return sum((x[i] * y[j] * v for (i, j), v in a.cap.items()), start=ZERO)
+
+    for _ in range(4):
+        xs, ys = _random_coeffs(rng, a.dim), _random_coeffs(rng, a.dim)
+        x, y = a.element(xs), a.element(ys)
+        s = _random_cyclo(rng)
+        prod = [ZERO] * a.dim
+        for (i, j, k), v in a.product_tensor().items():
+            prod[k] = prod[k] + xs[i] * ys[j] * v
+        star = [ZERO] * a.dim
+        for (i, j), v in a.star.items():
+            star[j] = star[j] + xs[i].conjugate() * v
+        expected = {
+            "mul": (x * y, prod),
+            "star": (a.apply_star(x), star),
+            "add": (x + y, [p + q for p, q in zip(xs, ys)]),
+            "sub": (x - y, [p - q for p, q in zip(xs, ys)]),
+            "neg": (-x, [-p for p in xs]),
+            "scaled": (x.scaled(s), [s * p for p in xs]),
+        }
+        for name, (got, want) in expected.items():
+            assert got.coeffs == tuple(want), name
+            assert all(not v.is_zero() for v in got.vector.values()), name
+        assert a.eta(x, y) == eta(xs, ys)
+        assert a.counit(x) == eta(unit, xs)
+        assert a.element(x.coeffs) == x
+
+    for zero in (x - x, 0 * x, x * a.element([ZERO] * a.dim)):
+        assert zero.is_zero() and zero.vector == {}
+        assert zero.render() == "0"
+    with pytest.raises(TypeError):
+        hash(x)
