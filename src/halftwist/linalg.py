@@ -7,15 +7,16 @@ AlgebraElement.__add__, LinearBlock.then, the ribbon step, row_reduce).
 
 einsum() contracts any number of tensors by pairwise joins, never
 materializing a dense table.  The order of the joins is planned, not read off
-the spec: at each step a greedy planner joins the two remaining operands whose
-join forms the fewest terms, counted exactly as the sum over shared-index keys
-of |bucket_1| * |bucket_2|.  Only pairs that share a letter compete unless
-none do, and ties go to the leftmost pair.  The plan depends on the operands'
+the spec: at each step every pair of remaining operands competes on the exact
+number of terms its join forms, the sum over shared-index keys of
+|bucket_1| * |bucket_2|, or |t1| * |t2| for an outer product.  The fewest
+terms win; an outer product loses a tie to a join over shared letters, and
+remaining ties go to the leftmost pair.  The plan depends on the operands'
 letters and entries alone, so an identity can be written exactly as its
-equation reads and still be contracted cheaply.  Before each join the term
-count is checked against CELL_CEILING, the same ceiling ribbon.evaluate puts
-on its boundary tables; a join over it raises ContractionTooLarge before any
-of it is built.
+equation reads and still be contracted cheaply.  Each distinct spec is split
+and validated once.  Before each join the term count is checked against
+CELL_CEILING, the same ceiling ribbon.evaluate puts on its boundary tables; a
+join over it raises ContractionTooLarge before any of it is built.
 
 Exact linear algebra has one elimination routine, row_reduce, which brings
 sparse rows ({column: value} dicts) to reduced row echelon form.  nullspace,
@@ -30,6 +31,7 @@ field division in Q(zeta_8).
 from __future__ import annotations
 
 from collections import Counter
+from functools import cache
 from operator import itemgetter
 
 from .cyclo import CycloNum, ZERO, ONE
@@ -69,17 +71,44 @@ def einsum(spec: str, *tensors: SparseTensor) -> SparseTensor:
     operands and not in the output is summed.  A letter may not appear twice
     within one operand, a summed letter may not appear in more than two
     operands, and the output must list exactly the letters that appear in
-    one operand only.
+    one operand only.  Each distinct spec is split and validated once; only
+    the operand count is checked per call.
 
-    The operands are joined two at a time in the order the greedy planner in
-    the module docstring picks, and the result is permuted to the output
-    letters.  Raises ContractionTooLarge, naming the spec and the term count,
-    when a planned join would form more than CELL_CEILING terms.
+    The operands are joined two at a time, each time the pair whose join
+    forms the fewest terms (the rule in the module docstring), and the
+    result is permuted to the output letters.  Raises ContractionTooLarge,
+    naming the spec and the term count, when a planned join would form more
+    than CELL_CEILING terms.
     """
-    lhs, out_idx = spec.replace(" ", "").split("->")
-    idx_lists = lhs.split(",")
+    idx_lists, out_idx = _parse_spec(spec)
     if len(idx_lists) != len(tensors):
         raise ValueError(f"einsum spec {spec!r} expects {len(idx_lists)} operands")
+    ops = list(zip(tensors, idx_lists))
+    while len(ops) > 1:
+        terms, _, i, j = min(
+            (*_join_terms(ops[i], ops[j]), i, j)
+            for i in range(len(ops))
+            for j in range(i + 1, len(ops))
+        )
+        if terms > CELL_CEILING:
+            raise ContractionTooLarge(
+                f"einsum {spec!r} would form a join of {terms} terms, "
+                f"over the ceiling of {CELL_CEILING}"
+            )
+        ops[i] = _join(*ops[i], *ops[j])
+        del ops[j]
+    cur, cur_idx = ops[0]
+    if cur_idx == out_idx:
+        return cur
+    perm = [cur_idx.index(c) for c in out_idx]
+    return {tuple(k[p] for p in perm): v for k, v in cur.items()}
+
+
+@cache
+def _parse_spec(spec: str) -> tuple[tuple[str, ...], str]:
+    """Operand letters and output letters of a valid spec."""
+    lhs, out_idx = spec.replace(" ", "").split("->")
+    idx_lists = tuple(lhs.split(","))
     for s in idx_lists:
         if len(set(s)) != len(s):
             raise ValueError(f"repeated letter within one operand in {spec!r}")
@@ -92,64 +121,24 @@ def einsum(spec: str, *tensors: SparseTensor) -> SparseTensor:
     free = "".join(c for c, n in uses.items() if n == 1)
     if sorted(free) != sorted(out_idx):
         raise ValueError(f"output letters {out_idx!r} do not match result {free!r}")
-
-    # Each operand carries a cache of its entry counts per key of letters.
-    ops = [(t, s, {}) for t, s in zip(tensors, idx_lists)]
-    while len(ops) > 1:
-        terms, i, j = _cheapest_pair(ops)
-        if terms > CELL_CEILING:
-            raise ContractionTooLarge(
-                f"einsum {spec!r} would form a join of {terms} terms, "
-                f"over the ceiling of {CELL_CEILING}"
-            )
-        (t1, i1, _), (t2, i2, _) = ops[i], ops[j]
-        joined, joined_idx = _join(t1, i1, t2, i2)
-        ops[i] = (joined, joined_idx, {})
-        del ops[j]
-    cur, cur_idx, _ = ops[0]
-    if cur_idx == out_idx:
-        return cur
-    perm = [cur_idx.index(c) for c in out_idx]
-    return {tuple(k[p] for p in perm): v for k, v in cur.items()}
+    return idx_lists, out_idx
 
 
-def _cheapest_pair(ops) -> tuple[int, int, int]:
-    """(terms, i, j) of the join with the fewest terms, i < j.
-
-    Pairs sharing a letter are preferred over outer products; ties go to the
-    pair that comes first in operand order.
-    """
-    pairs = [
-        (i, j, tuple(c for c in ops[i][1] if c in ops[j][1]))
-        for i in range(len(ops))
-        for j in range(i + 1, len(ops))
-    ]
-    if any(common for _, _, common in pairs):
-        pairs = [p for p in pairs if p[2]]
-    return min((_join_terms(ops[i], ops[j], common), i, j) for i, j, common in pairs)
-
-
-def _join_terms(op1, op2, common: tuple[str, ...]) -> int:
-    """Exact number of products a join forms: the sum over keys of the
-    shared letters of |bucket_1| * |bucket_2|."""
+def _join_terms(op1, op2) -> tuple[int, bool]:
+    """(terms, is_outer) of joining two operands.  terms is the exact number
+    of products the join forms: the sum over keys of the shared letters of
+    |bucket_1| * |bucket_2|, or |t1| * |t2| for an outer product."""
+    (t1, i1), (t2, i2) = op1, op2
+    common = [c for c in i1 if c in i2]
     if not common:
-        return len(op1[0]) * len(op2[0])
-    c1, c2 = _key_counts(op1, common), _key_counts(op2, common)
+        return len(t1) * len(t2), True
+    # One letter gives bare values as keys, several give tuples; both
+    # operands count on the same letters, so their keys match.
+    c1 = Counter(map(itemgetter(*(i1.index(c) for c in common)), t1))
+    c2 = Counter(map(itemgetter(*(i2.index(c) for c in common)), t2))
     if len(c1) > len(c2):
         c1, c2 = c2, c1
-    return sum(n * c2[k] for k, n in c1.items())
-
-
-def _key_counts(op, letters: tuple[str, ...]) -> Counter:
-    """Entries of an operand per value of the given letters, cached."""
-    t, idx, cache = op
-    counts = cache.get(letters)
-    if counts is None:
-        # One letter gives bare values as keys, several give tuples; both
-        # operands of a pair count on the same letters, so their keys match.
-        key = itemgetter(*(idx.index(c) for c in letters))
-        counts = cache[letters] = Counter(map(key, t))
-    return counts
+    return sum(n * c2[k] for k, n in c1.items()), False
 
 
 def _join(t1, i1, t2, i2):

@@ -25,7 +25,9 @@ For every constructor the crossing is the graded swap
     crossing(e_a (x) e_b) = (-1)^{|a||b|} e_b (x) e_a
 
 and the bilinear form is the trace form scaled by alpha, which makes the
-Nakayama automorphism trivial.
+Nakayama automorphism trivial.  Since that crossing has dim^2 entries, a
+matrix algebra, direct sum or graded product with dim^2 over CELL_CEILING is
+refused before any table is built.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from math import prod
 
 from .cyclo import CycloNum, ZERO, ONE, SQRT2, zeta_pow
 from .linalg import (
+    CELL_CEILING,
     SparseTensor,
     SingularMatrixError,
     delta,
@@ -287,6 +290,16 @@ def _swap_crossing(parity: tuple[int, ...]) -> SparseTensor:
     return out
 
 
+def _check_size(dim: int, spec: str) -> None:
+    """Refuse an algebra whose graded-swap crossing, dim^2 entries, would
+    exceed CELL_CEILING; the check runs before any table is built."""
+    if dim * dim > CELL_CEILING:
+        raise ValueError(
+            f"{spec} has dimension {dim}: its crossing of {dim * dim} entries "
+            f"is over the ceiling of {CELL_CEILING}"
+        )
+
+
 def _check_alpha(alpha) -> CycloNum:
     alpha = CycloNum.coerce(alpha)
     if alpha.is_zero():
@@ -434,8 +447,9 @@ def build_matrix(p: int, q: int, alpha=1) -> HalfTwistAlgebra:
     n = p + q
     if n < 1:
         raise ValueError("matrix algebra needs at least one row")
-    alpha = _check_alpha(alpha)
     dim = n * n
+    _check_size(dim, f"mat({p}|{q})")
+    alpha = _check_alpha(alpha)
 
     def idx(i, j):
         return i * n + j
@@ -507,10 +521,12 @@ def direct_sum(a: HalfTwistAlgebra, b: HalfTwistAlgebra) -> HalfTwistAlgebra:
             "vertex weight mismatch in direct sum: "
             f"{a.vertex_weight!r} vs {b.vertex_weight!r}"
         )
+    spec = f"{a.spec} (+) {b.spec}" if a.spec and b.spec else None
+    dim = a.dim + b.dim
+    _check_size(dim, spec or "direct sum")
     _require_swap(a, "direct sum")
     _require_swap(b, "direct sum")
     off = a.dim
-    dim = a.dim + b.dim
     labels = tuple(f"A.{l}" for l in a.labels) + tuple(f"B.{l}" for l in b.labels)
     parity = a.parity + b.parity
 
@@ -533,9 +549,6 @@ def direct_sum(a: HalfTwistAlgebra, b: HalfTwistAlgebra) -> HalfTwistAlgebra:
     gens = None
     if a.generators is not None and b.generators is not None:
         gens = a.generators + tuple(g + off for g in b.generators)
-    spec = None
-    if a.spec and b.spec:
-        spec = f"{a.spec} (+) {b.spec}"
     return HalfTwistAlgebra(
         dim=dim,
         labels=labels,
@@ -561,10 +574,12 @@ def supertensor(a: HalfTwistAlgebra, b: HalfTwistAlgebra) -> HalfTwistAlgebra:
     half twist factorizes with no extra sign.  The vertex weight and alpha
     multiply.
     """
-    _require_swap(a, "supertensor")
-    _require_swap(b, "supertensor")
+    spec = f"{a.spec} (x) {b.spec}" if a.spec and b.spec else None
     db = b.dim
     dim = a.dim * db
+    _check_size(dim, spec or "supertensor")
+    _require_swap(a, "supertensor")
+    _require_swap(b, "supertensor")
     pa, pb = a.parity, b.parity
 
     def kron(ta: SparseTensor, tb: SparseTensor, odd) -> SparseTensor:
@@ -598,9 +613,6 @@ def supertensor(a: HalfTwistAlgebra, b: HalfTwistAlgebra) -> HalfTwistAlgebra:
         gset = {g * db + i for g in a.generators for i in range(db)}
         gset |= {x * db + g for x in range(a.dim) for g in b.generators}
         gens = tuple(sorted(gset))
-    spec = None
-    if a.spec and b.spec:
-        spec = f"{a.spec} (x) {b.spec}"
     return HalfTwistAlgebra(
         dim=dim,
         labels=labels,

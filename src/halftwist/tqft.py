@@ -260,8 +260,8 @@ def connect_sum_pf(a: HalfTwistAlgebra, p: PinSurfacePresentation) -> CycloNum:
     Each torus contributes its handle state, with q = 0 an NS cycle and
     q = 2 an R cycle, and each crosscap its Moebius state; the partition
     function is the vertex weight times the counit of their product, tori
-    first.  Each distinct handle state is built once.  The empty connect sum
-    is the sphere.
+    first.  Each distinct handle and Moebius state is built once.  The empty
+    connect sum is the sphere.
     """
     element = a.unit()
     handles: dict[tuple[int, int], AlgebraElement] = {}
@@ -269,8 +269,11 @@ def connect_sum_pf(a: HalfTwistAlgebra, p: PinSurfacePresentation) -> CycloNum:
         if q not in handles:
             handles[q] = handle_state(a, SECTORS[q[0] // 2], SECTORS[q[1] // 2])
         element = element * handles[q]
+    moebius: dict[int, AlgebraElement] = {}
     for qz in p.crosscap_q:
-        element = element * moebius_state(a, qz)
+        if qz not in moebius:
+            moebius[qz] = moebius_state(a, qz)
+        element = element * moebius[qz]
     return a.vertex_weight * a.counit(element)
 
 

@@ -1,4 +1,5 @@
 import io
+import time
 
 import pytest
 
@@ -137,6 +138,14 @@ def test_usage_errors_exit_two(tmp_path):
     assert code == 2
     code, _ = run("frobnicate")
     assert code == 2
+
+
+def test_oversize_algebra_exits_two_at_once(capsys):
+    start = time.perf_counter()
+    code, _ = run("partition", "mat(100|0)", "sphere")
+    assert code == 2
+    assert time.perf_counter() - start < 1
+    assert "ceiling" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -126,8 +126,10 @@ def test_zero_sum_is_pruned():
 )
 def test_einsum_errors(spec, count, match):
     t = {(0, 0): ONE}
-    with pytest.raises(ValueError, match=match):
-        einsum(spec, *([t] * count))
+    # Twice: the parse of a valid spec is memoized, a bad one never is.
+    for _ in range(2):
+        with pytest.raises(ValueError, match=match):
+            einsum(spec, *([t] * count))
 
 
 def test_a4_never_builds_more_than_dim_cubed(monkeypatch):
@@ -145,6 +147,25 @@ def test_a4_never_builds_more_than_dim_cubed(monkeypatch):
     einsum("ade,df,fbg,gh,ihc,ei->abc", node, cup, node, cup, node, cup)
     assert len(sizes) == 5
     assert max(sizes) <= a.dim**3 == 4096
+
+
+def test_element_product_joins_the_elements_first(monkeypatch):
+    # For x * y ("a,b,abc->c") the outer product of two one-entry elements
+    # forms one term, fewer than joining either with the product table.
+    a = algebra("cl(2,2)")
+    x, y = a.basis_element(5), a.basis_element(10)
+    expected = x * y
+    sizes = []
+    join = linalg._join
+
+    def recording_join(*args):
+        result = join(*args)
+        sizes.append(len(result[0]))
+        return result
+
+    monkeypatch.setattr(linalg, "_join", recording_join)
+    assert x * y == expected
+    assert sizes == [1, 1]
 
 
 def test_ceiling_stops_oversize_join_before_building(monkeypatch):

@@ -22,7 +22,8 @@ from halftwist import (
     parse_algebra,
     supertensor,
 )
-from halftwist.linalg import SingularMatrixError
+from halftwist import superalgebra
+from halftwist.linalg import CELL_CEILING, SingularMatrixError
 from conftest import algebra
 
 
@@ -132,6 +133,20 @@ def test_matrix_even_case():
 def test_matrix_rejects_empty():
     with pytest.raises(ValueError):
         build_matrix(0, 0)
+
+
+def test_oversize_constructors_refused_before_building(monkeypatch):
+    # Every constructor builds the graded-swap crossing, dim^2 entries.
+    assert 38**4 <= CELL_CEILING < 39**4
+    with pytest.raises(ValueError, match=rf"mat\(39\|0\).*ceiling of {CELL_CEILING}"):
+        build_matrix(39, 0)
+    with pytest.raises(ValueError, match=r"clc\(7\) \(x\) clc\(7\).*65536"):
+        parse_algebra("clc(7) (x) clc(7)")
+    monkeypatch.setattr(superalgebra, "CELL_CEILING", 15)
+    with pytest.raises(ValueError, match=r"cl\(1,0\) \(\+\) cl\(1,0\).*ceiling of 15"):
+        parse_algebra("cl(1,0) (+) cl(1,0)")
+    monkeypatch.setattr(superalgebra, "CELL_CEILING", 16)
+    assert parse_algebra("cl(1,0) (+) cl(1,0)").dim == 4
 
 
 def test_unitality_everywhere():

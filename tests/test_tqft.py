@@ -274,6 +274,18 @@ def test_connect_sum_builds_each_handle_state_once(monkeypatch):
     assert z == abk(p) == CycloNum(-1)
 
 
+def test_connect_sum_builds_each_moebius_state_once(monkeypatch):
+    from halftwist import tqft
+
+    calls = []
+    build = tqft.moebius_state
+    monkeypatch.setattr(tqft, "moebius_state", lambda a, k: calls.append(k) or build(a, k))
+    p = parse_surface("klein:1,1")
+    z = connect_sum_pf(algebra("cl(1,0)"), p)
+    assert calls == [1]
+    assert z == abk(p)
+
+
 def test_klein_equals_two_crosscaps():
     a = algebra("cl(1,0)")
     for k, l in ((1, 1), (1, 3), (3, 1), (3, 3)):
