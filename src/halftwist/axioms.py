@@ -34,6 +34,8 @@ from dataclasses import dataclass, field
 
 from .cyclo import CycloNum, ONE
 from .linalg import (
+    CELL_CEILING,
+    ContractionTooLarge,
     SingularMatrixError,
     delta,
     dense_from_sparse,
@@ -234,6 +236,15 @@ def check_axiom(a: HalfTwistAlgebra, which: str) -> CheckStatus:
 
 
 def check_all_axioms(a: HalfTwistAlgebra) -> AxiomReport:
+    """Check a1..a13.  Raises ContractionTooLarge before any check runs when
+    dim^3 is over CELL_CEILING: a3 on a Clifford algebra and a9 on any
+    graded-swap crossing form dim^3 terms in one join, so such an algebra
+    would be refused partway through the thirteen checks."""
+    if a.dim**3 > CELL_CEILING:
+        raise ContractionTooLarge(
+            f"checking the axioms of a dimension-{a.dim} algebra forms joins of "
+            f"dim^3 = {a.dim**3} terms, over the ceiling of {CELL_CEILING}"
+        )
     report = AxiomReport()
     for which in AXIOM_IDS:
         report.add(check_axiom(a, which))

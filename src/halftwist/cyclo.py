@@ -1,10 +1,14 @@
 """Exact arithmetic in the 8th cyclotomic field Q(zeta_8).
 
 Every scalar produced by the state-sum engine lives in Q(zeta_8), the field
-generated over the rationals by zeta = exp(i*pi/4).  An element is stored as
-four rationals (c0, c1, c2, c3) meaning
+generated over the rationals by zeta = exp(i*pi/4).  An element is the value
 
-    c0 + c1*zeta + c2*zeta^2 + c3*zeta^3,      zeta^4 = -1.
+    (n0 + n1*zeta + n2*zeta^2 + n3*zeta^3) / d,      zeta^4 = -1,
+
+stored as four Python ints n0..n3 over one positive int denominator d: the
+common-denominator layout of FLINT's fmpq_poly and nf_elem.  Products,
+sums and comparisons run on the ints alone; no Fraction is built on those
+paths.  `coeffs` gives the same value as four Fractions (c0, c1, c2, c3).
 
 Useful constants inside the field:
 
@@ -12,16 +16,16 @@ Useful constants inside the field:
     zeta - zeta^3 = sqrt(2)
     zeta          = (1 + i)/sqrt(2)
 
-The representation is canonical: two values are equal iff all four rational
-coefficients agree, so equality tests are exact and there is no tolerance
-anywhere in the package.
+The representation is canonical: gcd(n0, n1, n2, n3, d) = 1 with d > 0, so
+zero is (0, 0, 0, 0, 1) and two values are equal iff their five ints agree.
+Equality tests are exact and there is no tolerance anywhere in the package.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import isqrt, sqrt as _fsqrt
+from math import gcd, isqrt, lcm, sqrt as _fsqrt
 
 __all__ = [
     "CycloNum",
@@ -35,27 +39,54 @@ __all__ = [
     "real_sqrt",
 ]
 
+_ZERO_V = (0, 0, 0, 0, 1)
 
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
+
+def _lattice(x) -> tuple[int, int, int, int, int] | None:
+    """The canonical ints of a CycloNum, int or Fraction; None otherwise."""
+    if isinstance(x, CycloNum):
+        return x._v
     if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"expected a rational coefficient, got {type(x).__name__}")
+        return (x, 0, 0, 0, 1)
+    if isinstance(x, Fraction):
+        return (x.numerator, 0, 0, 0, x.denominator)
+    return None
 
 
 class CycloNum:
     """An exact element of Q(zeta_8)."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_v",)
 
     def __init__(self, c0=0, c1=0, c2=0, c3=0):
-        object.__setattr__(
-            self, "coeffs", (_frac(c0), _frac(c1), _frac(c2), _frac(c3))
-        )
+        cs = (c0, c1, c2, c3)
+        for c in cs:
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError(
+                    f"expected a rational coefficient, got {type(c).__name__}"
+                )
+        # Fractions are in lowest terms, so over the lcm of their
+        # denominators the five ints already have gcd 1.
+        d = lcm(*(c.denominator for c in cs))
+        _set_v(self, tuple(c.numerator * (d // c.denominator) for c in cs) + (d,))
 
     def __setattr__(self, name, value):
         raise AttributeError("CycloNum is immutable")
+
+    def __reduce__(self):
+        return (CycloNum, self.coeffs)
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
+    @property
+    def coeffs(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+        """The value as four rationals (c0, c1, c2, c3)."""
+        *ns, d = self._v
+        return tuple(Fraction(n, d) for n in ns)
 
     # -- coercion helpers ------------------------------------------------
 
@@ -70,66 +101,77 @@ class CycloNum:
     # -- ring operations -------------------------------------------------
 
     def __add__(self, other):
-        if not isinstance(other, (CycloNum, int, Fraction)):
+        b = other._v if other.__class__ is CycloNum else _lattice(other)
+        if b is None:
             return NotImplemented
-        o = CycloNum.coerce(other)
-        a, b = self.coeffs, o.coeffs
-        return CycloNum(a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3])
+        a0, a1, a2, a3, ad = self._v
+        b0, b1, b2, b3, bd = b
+        if ad == bd:
+            return _canonical(a0 + b0, a1 + b1, a2 + b2, a3 + b3, ad)
+        return _canonical(
+            a0 * bd + b0 * ad, a1 * bd + b1 * ad, a2 * bd + b2 * ad, a3 * bd + b3 * ad, ad * bd
+        )
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if not isinstance(other, (CycloNum, int, Fraction)):
+        b = other._v if other.__class__ is CycloNum else _lattice(other)
+        if b is None:
             return NotImplemented
-        o = CycloNum.coerce(other)
-        a, b = self.coeffs, o.coeffs
-        return CycloNum(a[0] - b[0], a[1] - b[1], a[2] - b[2], a[3] - b[3])
+        a0, a1, a2, a3, ad = self._v
+        b0, b1, b2, b3, bd = b
+        if ad == bd:
+            return _canonical(a0 - b0, a1 - b1, a2 - b2, a3 - b3, ad)
+        return _canonical(
+            a0 * bd - b0 * ad, a1 * bd - b1 * ad, a2 * bd - b2 * ad, a3 * bd - b3 * ad, ad * bd
+        )
 
     def __rsub__(self, other):
-        if not isinstance(other, (CycloNum, int, Fraction)):
+        if _lattice(other) is None:
             return NotImplemented
         return CycloNum.coerce(other) - self
 
     def __neg__(self):
-        a = self.coeffs
-        return CycloNum(-a[0], -a[1], -a[2], -a[3])
+        a0, a1, a2, a3, d = self._v
+        return _from_canonical((-a0, -a1, -a2, -a3, d))
 
     def __mul__(self, other):
-        if not isinstance(other, (CycloNum, int, Fraction)):
+        b = other._v if other.__class__ is CycloNum else _lattice(other)
+        if b is None:
             return NotImplemented
-        o = CycloNum.coerce(other)
-        a, b = self.coeffs, o.coeffs
+        a0, a1, a2, a3, ad = self._v
+        b0, b1, b2, b3, bd = b
         # Convolution reduced by zeta^4 = -1: degree k >= 4 folds to k-4
         # with a sign flip.
-        out = [Fraction(0)] * 4
-        for i in range(4):
-            ai = a[i]
-            if not ai:
-                continue
-            for j in range(4):
-                bj = b[j]
-                if not bj:
-                    continue
-                k = i + j
-                if k < 4:
-                    out[k] += ai * bj
-                else:
-                    out[k - 4] -= ai * bj
-        return CycloNum(*out)
+        return _canonical(
+            a0 * b0 - a1 * b3 - a2 * b2 - a3 * b1,
+            a0 * b1 + a1 * b0 - a2 * b3 - a3 * b2,
+            a0 * b2 + a1 * b1 + a2 * b0 - a3 * b3,
+            a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0,
+            ad * bd,
+        )
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CycloNum":
-        """Multiplicative inverse, via the product of Galois conjugates."""
-        if self.is_zero():
+        """Multiplicative inverse, via the product of Galois conjugates.
+
+        For x = n/d, y = n * sigma_5(n) = p + q*i lies in Q(i), and its norm
+        p^2 + q^2 is the field norm of n, a positive integer.  Then
+        1/x = d * sigma_5(n) * (p - q*i) / (p^2 + q^2).
+        """
+        if self._v == _ZERO_V:
             raise ZeroDivisionError("division by zero in Q(zeta_8)")
-        b = self._galois(3) * self._galois(5) * self._galois(7)
-        norm = self * b
-        n = norm.coeffs
-        assert n[1] == 0 and n[2] == 0 and n[3] == 0, "field norm must be rational"
-        inv_norm = Fraction(1) / n[0]
-        c = b.coeffs
-        return CycloNum(c[0] * inv_norm, c[1] * inv_norm, c[2] * inv_norm, c[3] * inv_norm)
+        a0, a1, a2, a3, d = self._v
+        p = a0 * a0 - a2 * a2 + 2 * a1 * a3
+        q = 2 * a0 * a2 - a1 * a1 + a3 * a3
+        return _canonical(
+            d * (a0 * p + a2 * q),
+            -d * (a1 * p + a3 * q),
+            d * (a2 * p - a0 * q),
+            d * (a1 * q - a3 * p),
+            p * p + q * q,
+        )
 
     def __truediv__(self, other):
         return self * CycloNum.coerce(other).inverse()
@@ -153,15 +195,15 @@ class CycloNum:
 
     def _galois(self, k: int) -> "CycloNum":
         """Image under the automorphism zeta -> zeta^k, k odd."""
-        c = self.coeffs
+        n0, n1, n2, n3, d = self._v
         if k % 8 == 1:
             return self
         if k % 8 == 3:
-            return CycloNum(c[0], c[3], -c[2], c[1])
+            return _from_canonical((n0, n3, -n2, n1, d))
         if k % 8 == 5:
-            return CycloNum(c[0], -c[1], c[2], -c[3])
+            return _from_canonical((n0, -n1, n2, -n3, d))
         if k % 8 == 7:
-            return CycloNum(c[0], -c[3], -c[2], -c[1])
+            return _from_canonical((n0, -n3, -n2, -n1, d))
         raise ValueError("Galois automorphisms need k coprime to 8")
 
     def conjugate(self) -> "CycloNum":
@@ -171,57 +213,57 @@ class CycloNum:
     # -- predicates --------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return self._v == _ZERO_V
 
     def is_real(self) -> bool:
-        c = self.coeffs
-        return c[2] == 0 and c[1] == -c[3]
+        _, n1, n2, n3, _ = self._v
+        return n2 == 0 and n1 == -n3
 
     def real_parts(self) -> tuple[Fraction, Fraction]:
         """For a real element c0 + c1*sqrt(2), return (c0, c1)."""
         if not self.is_real():
             raise ValueError(f"{self!r} is not real")
-        return self.coeffs[0], self.coeffs[1]
+        n0, n1, _, _, d = self._v
+        return Fraction(n0, d), Fraction(n1, d)
 
     def is_real_positive(self) -> bool:
         """True iff the value is real and strictly greater than zero.
 
-        The sign of c0 + c1*sqrt(2) is decided exactly by comparing c0^2
-        against 2*c1^2, so no floating point enters the test.  Zero is not
-        positive.
+        With d > 0 the sign of (n0 + n1*sqrt(2))/d is that of n0 + n1*sqrt(2),
+        decided exactly by comparing n0^2 against 2*n1^2, so no floating point
+        enters the test.  Zero is not positive.
         """
         if not self.is_real():
             return False
-        c0, c1 = self.real_parts()
-        if c0 == 0 and c1 == 0:
+        n0, n1 = self._v[0], self._v[1]
+        if n0 == 0 and n1 == 0:
             return False
-        if c0 >= 0 and c1 >= 0:
+        if n0 >= 0 and n1 >= 0:
             return True
-        if c0 <= 0 and c1 <= 0:
+        if n0 <= 0 and n1 <= 0:
             return False
-        if c0 > 0:  # c1 < 0: positive iff c0 > -c1*sqrt(2)
-            return c0 * c0 > 2 * c1 * c1
-        # c1 > 0 > c0: positive iff c1*sqrt(2) > -c0
-        return 2 * c1 * c1 > c0 * c0
+        if n0 > 0:  # n1 < 0: positive iff n0 > -n1*sqrt(2)
+            return n0 * n0 > 2 * n1 * n1
+        # n1 > 0 > n0: positive iff n1*sqrt(2) > -n0
+        return 2 * n1 * n1 > n0 * n0
 
     # -- comparison / hashing ----------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = CycloNum(other)
-        if not isinstance(other, CycloNum):
+        b = other._v if other.__class__ is CycloNum else _lattice(other)
+        if b is None:
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self._v == b
 
     def __hash__(self):
-        c0, c1, c2, c3 = self.coeffs
-        if not (c1 or c2 or c3):
+        n0, n1, n2, n3, d = self._v
+        if not (n1 or n2 or n3):
             # A rational value equals its Fraction or int, so hash like it.
-            return hash(c0)
-        return hash(self.coeffs)
+            return hash(n0) if d == 1 else hash(Fraction(n0, d))
+        return hash(self._v)
 
     def __bool__(self):
-        return not self.is_zero()
+        return self._v != _ZERO_V
 
     # -- rendering -----------------------------------------------------------
 
@@ -292,6 +334,32 @@ class CycloNum:
         return out
 
 
+_new = object.__new__
+_set_v = CycloNum._v.__set__
+
+
+def _from_canonical(v) -> CycloNum:
+    """Wrap five ints already in canonical form."""
+    x = _new(CycloNum)
+    _set_v(x, v)
+    return x
+
+
+def _canonical(n0: int, n1: int, n2: int, n3: int, d: int) -> CycloNum:
+    """(n0 + n1*zeta + n2*zeta^2 + n3*zeta^3) / d for d > 0, reduced."""
+    if d != 1:
+        g = gcd(n0, n1, n2, n3, d)
+        if g != 1:
+            n0 //= g
+            n1 //= g
+            n2 //= g
+            n3 //= g
+            d //= g
+    x = _new(CycloNum)
+    _set_v(x, (n0, n1, n2, n3, d))
+    return x
+
+
 _TOKEN_RE = re.compile(r"\s*(?:(-?\d+(?:/\d+)?)|(z)|(\^)|(\*)|(\+)|(-))")
 
 
@@ -358,8 +426,8 @@ SQRT2 = CycloNum(0, 1, 0, -1)
 def zeta_pow(k: int) -> CycloNum:
     """zeta^k for any integer k (zeta has order 8)."""
     k %= 8
-    c = [Fraction(0)] * 4
-    c[k % 4] = Fraction(1) if k < 4 else Fraction(-1)
+    c = [0] * 4
+    c[k % 4] = 1 if k < 4 else -1
     return CycloNum(*c)
 
 

@@ -174,16 +174,18 @@ def _join(t1, i1, t2, i2):
 def tensors_differ(t1: SparseTensor, t2: SparseTensor):
     """First differing entry between two pruned tensors, or None if equal.
 
-    Returns (index, lhs_value, rhs_value) with indices visited in sorted
-    order so reports are deterministic.
+    Returns (index, lhs_value, rhs_value) for the smallest differing index,
+    the first in sorted order, so reports are deterministic.
     """
-    keys = sorted(set(t1) | set(t2))
-    for k in keys:
-        v1 = t1.get(k, ZERO)
-        v2 = t2.get(k, ZERO)
-        if v1 != v2:
-            return k, v1, v2
-    return None
+    if t1 == t2:
+        return None
+    k = min(
+        (k for k in t1.keys() | t2.keys() if t1.get(k, ZERO) != t2.get(k, ZERO)),
+        default=None,
+    )
+    if k is None:
+        return None
+    return k, t1.get(k, ZERO), t2.get(k, ZERO)
 
 
 # -- exact elimination ----------------------------------------------------

@@ -184,9 +184,19 @@ class HalfTwistAlgebra:
         return self._cache["twist_inv"]  # type: ignore[return-value]
 
     def has_swap_crossing(self) -> bool:
-        """True iff the crossing is exactly the graded swap for self.parity."""
-        expected = _swap_crossing(self.parity)
-        return tensors_differ(self.crossing, expected) is None
+        """True iff the crossing is exactly the graded swap for self.parity:
+        dim^2 entries, each (a, b, b, a) equal to -1 when a and b are both
+        odd and to 1 otherwise.  Checked in place, without building the
+        expected table."""
+        parity, crossing = self.parity, self.crossing
+        if len(crossing) != len(parity) ** 2:
+            return False
+        minus_one = -ONE
+        return all(
+            crossing.get((a, b, b, a)) == (minus_one if pa and pb else ONE)
+            for a, pa in enumerate(parity)
+            for b, pb in enumerate(parity)
+        )
 
     def apply_star(self, x: "AlgebraElement") -> "AlgebraElement":
         """The antilinear map: conjugate coefficients, then apply the matrix."""

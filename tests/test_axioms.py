@@ -14,7 +14,9 @@ from halftwist import (
     custom_from_tensors,
     full_report,
 )
-from halftwist.axioms import AXIOM_IDS
+from halftwist import axioms
+from halftwist.axioms import AXIOM_IDS, CheckStatus
+from halftwist.linalg import CELL_CEILING, ContractionTooLarge
 from conftest import algebra
 
 CONSTRUCTOR_SPECS = (
@@ -46,6 +48,30 @@ def test_axiom_ids_and_unknown():
     assert len(AXIOM_IDS) == 13
     with pytest.raises(ValueError):
         check_axiom(algebra("cl(1,0)"), "a14")
+
+
+def test_axioms_refused_up_front_when_dim_cubed_is_over_the_ceiling(monkeypatch):
+    def no_check(a, which):
+        raise AssertionError(f"{which} ran on an oversize algebra")
+
+    monkeypatch.setattr(axioms, "check_axiom", no_check)
+    big = build_clifford_real(8, 0)
+    with pytest.raises(ContractionTooLarge, match=rf"dimension-256.*16777216.*{CELL_CEILING}"):
+        check_all_axioms(big)
+    with pytest.raises(ContractionTooLarge):
+        full_report(big)
+    monkeypatch.setattr(axioms, "CELL_CEILING", 7)
+    with pytest.raises(ContractionTooLarge, match="dim\\^3 = 8"):
+        check_all_axioms(algebra("cl(1,0)"))
+
+
+def test_axioms_admitted_up_to_dim_cubed_at_the_ceiling(monkeypatch):
+    # cl(7,0) has dim 128 and 128^3 is exactly the ceiling.
+    assert 128**3 == CELL_CEILING
+    monkeypatch.setattr(axioms, "check_axiom", lambda a, which: CheckStatus(which, True))
+    assert check_all_axioms(build_clifford_real(7, 0)).all_passed
+    monkeypatch.setattr(axioms, "CELL_CEILING", 8)
+    assert check_all_axioms(algebra("cl(1,0)")).all_passed
 
 
 def _mutant(base, attr, key, value):

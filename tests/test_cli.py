@@ -148,6 +148,14 @@ def test_oversize_algebra_exits_two_at_once(capsys):
     assert "ceiling" in capsys.readouterr().err
 
 
+def test_oversize_check_exits_two_at_once(capsys):
+    start = time.perf_counter()
+    code, _ = run("check", "cl(8,0)")
+    assert code == 2
+    assert time.perf_counter() - start < 1
+    assert "dim^3 = 16777216" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -183,6 +183,38 @@ def test_ceiling_stops_oversize_join_before_building(monkeypatch):
 
 
 
+def test_tensors_differ_reports_the_smallest_differing_index():
+    rng = random.Random(31)
+    keys = [(a, b) for a in range(6) for b in range(6)]
+    for _ in range(50):
+        t1 = {k: CycloNum(rng.randint(1, 3), rng.randint(0, 2)) for k in rng.sample(keys, 20)}
+        assert linalg.tensors_differ(t1, dict(t1)) is None
+        t2 = dict(t1)
+        changed = rng.sample(keys, 3)
+        for k in changed:
+            if k in t2 and rng.random() < 0.5:
+                del t2[k]
+            else:
+                t2[k] = t2.get(k, ONE) + ONE
+        first = min(changed)
+        assert linalg.tensors_differ(t1, t2) == (first, t1.get(first, ZERO), t2.get(first, ZERO))
+        assert linalg.tensors_differ(t2, t1) == (first, t2.get(first, ZERO), t1.get(first, ZERO))
+    # An explicit zero equals an absent entry.
+    assert linalg.tensors_differ({(0,): ZERO, (1,): ONE}, {(1,): ONE}) is None
+    assert linalg.tensors_differ({}, {(2,): ONE}) == ((2,), ZERO, ONE)
+
+
+def test_tensors_differ_does_not_sort_equal_tensors(monkeypatch):
+    t = {(a, b, c): ONE for a in range(8) for b in range(8) for c in range(8)}
+
+    def no_sort(*args, **kwargs):
+        raise AssertionError("equal tensors were sorted")
+
+    monkeypatch.setattr(linalg, "sorted", no_sort, raising=False)
+    monkeypatch.setattr(linalg, "min", no_sort, raising=False)
+    assert linalg.tensors_differ(t, dict(t)) is None
+
+
 # -- the elimination kernel --------------------------------------------------
 
 

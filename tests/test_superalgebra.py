@@ -149,6 +149,46 @@ def test_oversize_constructors_refused_before_building(monkeypatch):
     assert parse_algebra("cl(1,0) (+) cl(1,0)").dim == 4
 
 
+def _with_crossing(base, crossing):
+    return custom_from_tensors(
+        base.node, base.cap, base.cup, crossing, base.twist,
+        base.vertex_weight, base.parity, labels=base.labels, alpha=base.alpha,
+    )
+
+
+def test_has_swap_crossing_checks_in_place(monkeypatch):
+    def no_table(parity):
+        raise AssertionError("the expected crossing was built")
+
+    built = [algebra(s) for s in ("cl(0,0)", "cl(1,0)", "cl(2,1)", "clc(1)", "mat(2|1)", "mat(2|0)")]
+    base = algebra("cl(1,1)")
+    monkeypatch.setattr(superalgebra, "_swap_crossing", no_table)
+    for a in built:
+        assert a.has_swap_crossing(), a.spec
+    odd_odd = next(k for k in base.crossing if base.parity[k[0]] and base.parity[k[1]])
+    even_odd = next(k for k in base.crossing if not base.parity[k[0]] and base.parity[k[1]])
+    assert base.crossing[odd_odd] == -ONE and base.crossing[even_odd] == ONE
+    broken = [
+        {**base.crossing, odd_odd: ONE},  # sign lost on an odd pair
+        {**base.crossing, even_odd: -ONE},  # sign put on an even pair
+        {**base.crossing, even_odd: I},
+        {k: v for k, v in base.crossing.items() if k != odd_odd},  # entry missing
+        {**{k: v for k, v in base.crossing.items() if k != odd_odd}, (0, 1, 0, 1): ONE},
+        {**base.crossing, (0, 1, 0, 1): ONE},  # one entry too many
+    ]
+    for crossing in broken:
+        a = _with_crossing(base, crossing)
+        assert not a.has_swap_crossing()
+        with pytest.raises(ValueError, match="graded swap crossing"):
+            direct_sum(a, base)
+        with pytest.raises(ValueError, match="graded swap crossing"):
+            supertensor(base, a)
+    assert _with_crossing(base, dict(base.crossing)).has_swap_crossing()
+    monkeypatch.undo()
+    for a in (direct_sum(base, base), supertensor(base, built[2])):
+        assert a.has_swap_crossing()
+
+
 def test_unitality_everywhere():
     for spec in ("cl(1,0)", "cl(2,1)", "clc(1)", "mat(2|1)",
                   "cl(1,0) (+) cl(0,1)", "cl(1,0) (x) mat(1|1)"):
