@@ -75,10 +75,10 @@ def einsum(spec: str, *tensors: SparseTensor) -> SparseTensor:
     the operand count is checked per call.
 
     The operands are joined two at a time, each time the pair whose join
-    forms the fewest terms (the rule in the module docstring), and the
-    result is permuted to the output letters.  Raises ContractionTooLarge,
-    naming the spec and the term count, when a planned join would form more
-    than CELL_CEILING terms.
+    forms the fewest terms (the rule in the module docstring); the last join
+    builds its keys in the order of the output letters.  Raises
+    ContractionTooLarge, naming the spec and the term count, when a planned
+    join would form more than CELL_CEILING terms.
     """
     idx_lists, out_idx = _parse_spec(spec)
     if len(idx_lists) != len(tensors):
@@ -95,13 +95,14 @@ def einsum(spec: str, *tensors: SparseTensor) -> SparseTensor:
                 f"einsum {spec!r} would form a join of {terms} terms, "
                 f"over the ceiling of {CELL_CEILING}"
             )
-        ops[i] = _join(*ops[i], *ops[j])
+        ops[i] = _join(*ops[i], *ops[j], out_idx if len(ops) == 2 else None)
         del ops[j]
     cur, cur_idx = ops[0]
     if cur_idx == out_idx:
         return cur
-    perm = [cur_idx.index(c) for c in out_idx]
-    return {tuple(k[p] for p in perm): v for k, v in cur.items()}
+    # A single operand, only permuted.
+    reorder = _reorder(cur_idx, out_idx)
+    return {reorder(k): v for k, v in cur.items()}
 
 
 @cache
@@ -141,10 +142,20 @@ def _join_terms(op1, op2) -> tuple[int, bool]:
     return sum(n * c2[k] for k, n in c1.items()), False
 
 
-def _join(t1, i1, t2, i2):
-    """Contract two operands over every letter they share."""
+def _reorder(idx: str, out_idx: str):
+    """Key getter taking letters idx to out_idx, another order of the same
+    two or more letters."""
+    return itemgetter(*map(idx.index, out_idx))
+
+
+def _join(t1, i1, t2, i2, out_idx=None):
+    """Contract two operands over every letter they share.
+
+    The result's letters are the free letters of i1 then those of i2, or
+    out_idx when given; its keys are put in that order as zeros are dropped.
+    """
     common = [c for c in i1 if c in i2]
-    out_idx = [c for c in i1 if c not in common] + [c for c in i2 if c not in common]
+    free_idx = [c for c in i1 if c not in common] + [c for c in i2 if c not in common]
     pos1 = {c: i for i, c in enumerate(i1)}
     pos2 = {c: i for i, c in enumerate(i2)}
     jp1 = [pos1[c] for c in common]
@@ -168,7 +179,11 @@ def _join(t1, i1, t2, i2):
             acc = out.get(key)
             term = v * v2
             out[key] = term if acc is None else acc + term
-    return prune(out), "".join(out_idx)
+    idx = "".join(free_idx)
+    if out_idx is None or out_idx == idx:
+        return prune(out), idx
+    reorder = _reorder(idx, out_idx)
+    return {reorder(k): v for k, v in out.items() if not v.is_zero()}, out_idx
 
 
 def tensors_differ(t1: SparseTensor, t2: SparseTensor):

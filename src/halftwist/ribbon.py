@@ -22,12 +22,15 @@ input width of a diagram is inferred from its first slice unless pinned.
 The parser normalizes each slice to at most one generator per elementary
 step; evaluation sweeps these steps bottom to top, carrying a sparse table
 over basis tuples of the live boundary.  Each step is the same for every
-generator: the generator's weight tensor, keyed by its input indices,
-replaces the consumed strands of each boundary entry by its outputs.  Input
-strands are enumerated lazily, the first time a generator touches them,
-which keeps intermediate tables small; a step that would form more than
-CELL_CEILING entries is refused before it is built.  A closed diagram
-evaluates to a single exact scalar.
+generator: the generator's weight tensor replaces the consumed strands of
+each boundary entry by its outputs.  An input strand is bound inside the
+step that first consumes it: the generator's rows are indexed by the strands
+already live, each row carries the values of the inputs not yet bound, and
+the step writes them into the entry's input tuple, so it forms only entries
+that have a row.  Only pass-through strands, which no generator touches,
+are bound by copying each entry once per basis value.  A step that would
+form more than CELL_CEILING entries is refused before it is built.  A
+closed diagram evaluates to a single exact scalar.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import product as iproduct
+from operator import itemgetter
 
 from .cyclo import CycloNum, ZERO, ONE
 from .linalg import CELL_CEILING, prune, scale
@@ -285,24 +289,28 @@ class LinearBlock:
 def evaluate(diagram: RibbonDiagram, algebra: HalfTwistAlgebra) -> LinearBlock:
     """Contract a diagram over an algebra, slice by slice from the bottom.
 
-    Every generator takes the same step: its weight tensor, keyed by its
-    input indices, maps the basis values of the strands it consumes to the
-    outputs it puts in their place, each with its weight.  A generator's
-    table is built the first time a step uses it, so a diagram without t-
-    never inverts the twist.  The result is multiplied by
-    vertex_weight ** r_power.  Input strands are materialized lazily, and
-    a step that would form more than CELL_CEILING boundary entries is
-    refused before any of them is built.
+    Every generator takes the same step: each boundary entry looks up the
+    generator's rows by the basis values of the consumed strands that are
+    already live, and each row puts the generator's outputs in their place
+    with its weight.  A consumed input strand that is not live yet is bound
+    in that same step: the row carries its basis value, which is written
+    into the entry's input tuple.  Strands that no generator touches are
+    bound at the end, one copy of each entry per basis value.  Each step is
+    checked against CELL_CEILING on the exact number of entries it forms,
+    before any of them is built.  The row indices are cached on the algebra
+    (see _rows), so a diagram without t- never inverts the twist.  The
+    result is multiplied by vertex_weight ** r_power.
     """
     n, m = diagram.validate()
     dim = algebra.dim
-    tables: dict[str, tuple[dict[tuple, list], int]] = {}
 
-    # Slots of the live boundary: an int marks a not-yet-materialized input
-    # strand (by input position), None a materialized one whose basis value
-    # sits in the live part of the state key.
+    # Slots of the live boundary: an int marks an input strand not yet bound
+    # (by input position), None a bound one whose basis value sits in the
+    # live part of the state key.  The input part holds the bound inputs'
+    # values in the order they were bound, which `order` records.
     slots: list[int | None] = list(range(n))
-    state: dict = {((None,) * n, ()): ONE}
+    order: list[int] = []
+    state: dict = {((), ()): ONE}
 
     def check(cells: int):
         if cells > CELL_CEILING:
@@ -314,41 +322,35 @@ def evaluate(diagram: RibbonDiagram, algebra: HalfTwistAlgebra) -> LinearBlock:
     def bind(pos: int):
         nonlocal state
         check(len(state) * dim)
-        k = slots[pos]
-        j = sum(1 for s in slots[:pos] if s is None)
+        j = slots[:pos].count(None)
         new: dict = {}
         for (ins, live), v in state.items():
             pre, post = live[:j], live[j:]
             for b in range(dim):
-                new[(ins[:k] + (b,) + ins[k + 1 :], pre + (b,) + post)] = v
+                new[(ins + (b,), pre + (b,) + post)] = v
+        order.append(slots[pos])
         slots[pos] = None
         state = new
 
     for kind, pos in diagram.ops:
         n_in, n_out = ARITY[kind]
-        for j in range(pos, pos + n_in):
-            if slots[j] is not None:
-                bind(j)
-        if kind not in tables:
-            rows_by_input = {}
-            for key, w in WEIGHTS[kind](algebra).items():
-                rows_by_input.setdefault(key[:n_in], []).append((key[n_in:], w))
-            tables[kind] = rows_by_input, max(map(len, rows_by_input.values()), default=0)
-        rows_by_input, widest = tables[kind]
-        lo = sum(1 for s in slots[:pos] if s is None)
-        hi = lo + n_in
+        window = slots[pos : pos + n_in]
+        unbound = tuple([s is not None for s in window])
+        rows_by_live, widest = _rows(algebra, kind, unbound)
+        lo = slots[:pos].count(None)
+        hi = lo + window.count(None)
         # len(state) * widest bounds the terms this step forms; count them
         # exactly only when the bound passes the ceiling.
         if len(state) * widest > CELL_CEILING:
-            check(sum(len(rows_by_input.get(live[lo:hi], ())) for _, live in state))
+            check(sum(len(rows_by_live.get(live[lo:hi], ())) for _, live in state))
         new: dict = {}
         for (ins, live), v in state.items():
-            rows = rows_by_input.get(live[lo:hi])
+            rows = rows_by_live.get(live[lo:hi])
             if not rows:
                 continue
             pre, post = live[:lo], live[hi:]
-            for outs, w in rows:
-                key = (ins, pre + outs + post)
+            for bound, outs, w in rows:
+                key = (ins + bound, pre + outs + post)
                 term = v * w
                 acc = new.get(key)
                 if acc is None:
@@ -359,13 +361,40 @@ def evaluate(diagram: RibbonDiagram, algebra: HalfTwistAlgebra) -> LinearBlock:
                         del new[key]
                     else:
                         new[key] = total
+        order += [s for s in window if s is not None]
         slots[pos : pos + n_in] = [None] * n_out
         state = new
 
-    # Materialize inputs that no generator ever touched (pass-through).
-    for pos in range(len(slots)):
-        if slots[pos] is not None:
+    for pos, s in enumerate(slots):
+        if s is not None:
             bind(pos)
+    if order != sorted(order):
+        # Two or more inputs, bound out of order: put them in input order.
+        by_input = itemgetter(*map(order.index, range(n)))
+        state = {(by_input(ins), live): v for (ins, live), v in state.items()}
 
     weight = algebra.vertex_weight ** diagram.r_power
     return LinearBlock(n, m, scale(state, weight) if diagram.r_power else state)
+
+
+def _rows(algebra: HalfTwistAlgebra, kind: str, unbound: tuple[bool, ...]):
+    """A generator's weight tensor as rows keyed by its live inputs.
+
+    unbound flags which of the generator's inputs are not yet bound.  Each
+    row is (values of those inputs, outputs, weight), listed under the values
+    of the other inputs; widest is the length of the longest list.  The
+    index is a view of the algebra's tensors, which never change, so it is
+    built once per (kind, unbound) and kept in the algebra's cache.
+    """
+    index = algebra._cache.setdefault("ribbon_rows", {})
+    if (kind, unbound) not in index:
+        n_in = len(unbound)
+        live_at = [i for i, u in enumerate(unbound) if not u]
+        bound_at = [i for i, u in enumerate(unbound) if u]
+        rows: dict[tuple, list] = {}
+        for key, w in WEIGHTS[kind](algebra).items():
+            rows.setdefault(tuple(map(key.__getitem__, live_at)), []).append(
+                (tuple(map(key.__getitem__, bound_at)), key[n_in:], w)
+            )
+        index[kind, unbound] = rows, max(map(len, rows.values()), default=0)
+    return index[kind, unbound]

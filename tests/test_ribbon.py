@@ -15,6 +15,7 @@ from halftwist import (
     evaluate,
     expand_left_twists,
     parse,
+    parse_algebra,
     zeta_pow,
 )
 from halftwist import ribbon
@@ -222,27 +223,86 @@ def test_guards(monkeypatch):
         evaluate(parse("bottom 1\nt+"), skew)
 
 
+def step_block(a, kind, pos, width):
+    """One generator at strand pos with identities beside it, as a block
+    over every input tuple of the given width."""
+    tensor = {
+        "node": a.node, "cap": a.cap, "cup": a.cup, "x": a.crossing,
+        "t+": a.twist, "t-": a.twist_inverse(),
+    }[kind]
+    n_in, n_out = ribbon.ARITY[kind]
+    rows = {}
+    for key, v in tensor.items():
+        rows.setdefault(key[:n_in], []).append((key[n_in:], v))
+    table = {}
+    for ins in iproduct(range(a.dim), repeat=width):
+        for outs, v in rows.get(ins[pos : pos + n_in], ()):
+            table[(ins, ins[:pos] + outs + ins[pos + n_in :])] = v
+    return LinearBlock(width, width - n_in + n_out, table)
+
+
 @pytest.mark.parametrize("width", (3, 4))
 @pytest.mark.parametrize("kind", ("node", "cap", "cup", "x", "t+", "t-"))
 @pytest.mark.parametrize("spec", ("cl(1,1)", "mat(1|1)", "clc(1)"))
 def test_single_generator_is_its_tensor(spec, kind, width):
     """A generator alone in a slice is its tensor with identities beside it."""
     a = algebra(spec)
-    tensor = {
-        "node": a.node, "cap": a.cap, "cup": a.cup, "x": a.crossing,
-        "t+": a.twist, "t-": a.twist_inverse(),
-    }[kind]
-    n_in, n_out = ribbon.ARITY[kind]
+    n_in = ribbon.ARITY[kind][0]
     for pos in range(width - n_in + 1):
-        expected = {}
-        for ins in iproduct(range(a.dim), repeat=width):
-            for key, v in tensor.items():
-                if key[:n_in] == ins[pos : pos + n_in]:
-                    outs = ins[:pos] + key[n_in:] + ins[pos + n_in :]
-                    expected[(ins, outs)] = v
         d = RibbonDiagram(width, ((kind, pos),))
-        want = LinearBlock(width, width - n_in + n_out, expected)
-        assert evaluate(d, a) == want, (spec, kind, width, pos)
+        assert evaluate(d, a) == step_block(a, kind, pos, width), (spec, kind, width, pos)
+
+
+@pytest.mark.parametrize(
+    "text",
+    (
+        "bottom 2 / id cup id / node id",
+        "bottom 2 / id cup id / x x",
+        "bottom 3 / id id cup id / id node id",
+        "bottom 3 / id t+ id / node",
+        "bottom 1 / t-",
+    ),
+)
+@pytest.mark.parametrize("spec", ("cl(1,1)", "mat(1|1)", "clc(1)", "cl(2,1)"))
+def test_binding_inside_a_step_matches_dense_steps(spec, text):
+    """Generators that consume unbound inputs beside live strands give the
+    composite of dense single-step blocks, which binds every input up front."""
+    a = algebra(spec)
+    d = parse(text)
+    want = LinearBlock.identity(d.bottom, a.dim)
+    for (kind, pos), width in zip(d.ops, d.widths()):
+        want = want.then(step_block(a, kind, pos, width))
+    assert evaluate(d, a) == want
+
+
+def test_ceiling_is_checked_on_the_terms_a_step_forms(monkeypatch):
+    # A node on three unbound inputs forms one term per entry of the node
+    # tensor (dim^2 = 256 on cl(2,2)), not one per input triple (dim^3).
+    a = algebra("cl(2,2)")
+    assert len(a.node) == 256
+    monkeypatch.setattr(ribbon, "CELL_CEILING", 1000)
+    assert len(evaluate(parse("bottom 3 / node"), a).table) == 256
+    monkeypatch.setattr(ribbon, "CELL_CEILING", 255)
+    with pytest.raises(DiagramError, match=r"\b256\b"):
+        evaluate(parse("bottom 3 / node"), a)
+
+
+def test_row_index_is_built_once_per_algebra(monkeypatch):
+    calls = []
+    node = ribbon.WEIGHTS["node"]
+
+    def counted(a):
+        calls.append(a)
+        return node(a)
+
+    monkeypatch.setitem(ribbon.WEIGHTS, "node", counted)
+    a = parse_algebra("cl(1,1)")
+    evaluate(parse("bottom 3 / node"), a)
+    evaluate(parse("bottom 4 / id node / t+"), a)
+    assert calls == [a]
+    b = parse_algebra("cl(1,1)")
+    evaluate(parse("bottom 3 / node"), b)
+    assert calls == [a, b]
 
 
 def test_singular_twist_errors():
