@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 
 from .axioms import full_report
 from .cyclo import CycloNum, zeta_pow
@@ -50,7 +51,10 @@ def _root_label(z: CycloNum) -> str | None:
     return None
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once: parse_args keeps no state between
+    calls, each call fills a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="halftwist",
         description="Exact pin state sums from half twist algebras.",
@@ -244,10 +248,7 @@ def main(argv=None, out=None) -> int:
     out = out or sys.stdout
     try:
         return _COMMANDS[args.command](args, out)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (DiagramError, ValueError) as exc:
+    except (OSError, DiagramError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

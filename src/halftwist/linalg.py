@@ -18,6 +18,13 @@ and validated once.  Before each join the term count is checked against
 CELL_CEILING, the same ceiling ribbon.evaluate puts on its boundary tables; a
 join over it raises ContractionTooLarge before any of it is built.
 
+Each join is a hash join: the operand with fewer entries is indexed on the
+shared letters and the other probes that index, so the work is the size of
+both operands plus one product per term, whichever side the spec names
+first.  Every key, on the shared letters and in the output, is read by an
+operator.itemgetter built once per join; an output key comes straight off
+the two operand keys concatenated, in the order of the result's letters.
+
 Exact linear algebra has one elimination routine, row_reduce, which brings
 sparse rows ({column: value} dicts) to reduced row echelon form.  nullspace,
 mat_invert and linear_solve read their answers off that form; since the
@@ -101,7 +108,7 @@ def einsum(spec: str, *tensors: SparseTensor) -> SparseTensor:
     if cur_idx == out_idx:
         return cur
     # A single operand, only permuted.
-    reorder = _reorder(cur_idx, out_idx)
+    reorder = _tuple_getter(cur_idx, out_idx)
     return {reorder(k): v for k, v in cur.items()}
 
 
@@ -142,48 +149,56 @@ def _join_terms(op1, op2) -> tuple[int, bool]:
     return sum(n * c2[k] for k, n in c1.items()), False
 
 
-def _reorder(idx: str, out_idx: str):
-    """Key getter taking letters idx to out_idx, another order of the same
-    two or more letters."""
-    return itemgetter(*map(idx.index, out_idx))
-
-
 def _join(t1, i1, t2, i2, out_idx=None):
-    """Contract two operands over every letter they share.
+    """Contract two operands over every letter they share, by a hash join.
 
-    The result's letters are the free letters of i1 then those of i2, or
-    out_idx when given; its keys are put in that order as zeros are dropped.
+    The operand with fewer entries (t2 on a tie) is indexed on the shared
+    letters and the other one probes the index; an outer product puts every
+    entry under one empty key.  Each term is one CycloNum product, and its
+    output key is read off the two operand keys concatenated, in the order
+    of the result's letters: the free letters of i1 then those of i2, or
+    out_idx when given.  Zeros are dropped as the result is returned.
     """
     common = [c for c in i1 if c in i2]
-    free_idx = [c for c in i1 if c not in common] + [c for c in i2 if c not in common]
-    pos1 = {c: i for i, c in enumerate(i1)}
-    pos2 = {c: i for i, c in enumerate(i2)}
-    jp1 = [pos1[c] for c in common]
-    jp2 = [pos2[c] for c in common]
-    fp1 = [pos1[c] for c in i1 if c not in common]
-    fp2 = [pos2[c] for c in i2 if c not in common]
+    if out_idx is None:
+        out_idx = "".join(c for c in i1 + i2 if c not in common)
+    if len(t1) < len(t2):
+        (build, build_idx), (probe, probe_idx) = (t1, i1), (t2, i2)
+    else:
+        (build, build_idx), (probe, probe_idx) = (t2, i2), (t1, i1)
+    if common:
+        build_key = itemgetter(*map(build_idx.index, common))
+        probe_key = itemgetter(*map(probe_idx.index, common))
+    else:
+        build_key = probe_key = itemgetter(slice(0))
+    out_key = _tuple_getter(probe_idx + build_idx, out_idx)
 
-    buckets: dict[tuple, list] = {}
-    for k, v in t2.items():
-        buckets.setdefault(tuple(k[p] for p in jp2), []).append(
-            (tuple(k[p] for p in fp2), v)
-        )
+    index: dict = {}
+    for k, v in build.items():
+        index.setdefault(build_key(k), []).append((k, v))
     out: SparseTensor = {}
-    for k, v in t1.items():
-        group = buckets.get(tuple(k[p] for p in jp1))
+    for kp, vp in probe.items():
+        group = index.get(probe_key(kp))
         if not group:
             continue
-        free1 = tuple(k[p] for p in fp1)
-        for free2, v2 in group:
-            key = free1 + free2
+        for kb, vb in group:
+            key = out_key(kp + kb)
             acc = out.get(key)
-            term = v * v2
+            term = vp * vb
             out[key] = term if acc is None else acc + term
-    idx = "".join(free_idx)
-    if out_idx is None or out_idx == idx:
-        return prune(out), idx
-    reorder = _reorder(idx, out_idx)
-    return {reorder(k): v for k, v in out.items() if not v.is_zero()}, out_idx
+    return prune(out), out_idx
+
+
+def _tuple_getter(idx: str, out_idx: str):
+    """Key getter taking a key over letters idx to the tuple of its entries
+    at out_idx.  itemgetter gives a bare value for one position and takes
+    no empty list, so those two cases read a slice."""
+    if len(out_idx) > 1:
+        return itemgetter(*map(idx.index, out_idx))
+    if out_idx:
+        p = idx.index(out_idx)
+        return itemgetter(slice(p, p + 1))
+    return itemgetter(slice(0))
 
 
 def tensors_differ(t1: SparseTensor, t2: SparseTensor):

@@ -117,25 +117,30 @@ def parse_surface(text: str) -> PinSurfacePresentation:
 
 
 def _sector_rows(a: HalfTwistAlgebra, sector: str):
-    """Sparse rows of the twisted-center system, one per (b, output)."""
-    product = a.product_tensor()
-    left = product  # entries (b, a, x) for m(b (x) a)
+    """Sparse rows of the twisted-center system, one per (b, output).
+
+    b runs over a.generators, or over the whole basis when that is None.
+    The first operand of the right-hand side, the crossing for NS and the
+    full twist for R, is cut down to those b before it is contracted, so no
+    row outside them is ever formed.
+    """
+    gens = set(a.generators if a.generators is not None else range(a.dim))
+    product = a.product_tensor()  # entries (b, a, x) for m(b (x) a)
     if sector == "NS":
-        right = einsum("bacd,cdx->bax", a.crossing, product)
+        crossing = {k: v for k, v in a.crossing.items() if k[0] in gens}
+        right = einsum("bacd,cdx->bax", crossing, product)
     elif sector == "R":
-        right = einsum("bp,pacd,cdx->bax", a.full_twist(), a.crossing, product)
+        twist = {k: v for k, v in a.full_twist().items() if k[0] in gens}
+        right = einsum("bp,pacd,cdx->bax", twist, a.crossing, product)
     else:
         raise ValueError(f"unknown sector {sector!r} (expected NS or R)")
-    gens = a.generators if a.generators is not None else tuple(range(a.dim))
-    gen_set = set(gens)
     rows: dict[tuple[int, int], dict[int, CycloNum]] = {}
-    for (b, x_a, x), v in left.items():
-        if b in gen_set:
+    for (b, x_a, x), v in product.items():
+        if b in gens:
             rows.setdefault((b, x), {})[x_a] = v
     for (b, x_a, x), v in right.items():
-        if b in gen_set:
-            row = rows.setdefault((b, x), {})
-            row[x_a] = row.get(x_a, ZERO) - v
+        row = rows.setdefault((b, x), {})
+        row[x_a] = row.get(x_a, ZERO) - v
     return rows
 
 

@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from halftwist import cli
 from halftwist.cli import main
 
 
@@ -107,6 +108,30 @@ def test_eval_command(tmp_path):
 def test_eval_missing_file():
     code, _ = run("eval", "cl(1,0)", "/nonexistent/d.rib")
     assert code == 2
+
+
+def test_eval_directory_exits_two(tmp_path, capsys):
+    code, _ = run("eval", "cl(1,0)", str(tmp_path))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_parser_is_built_once():
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_no_state_carries_between_calls(capsys):
+    surfaces = ("sphere", "rp2:1")
+    cli._build_parser.cache_clear()
+    fresh = {s: run("partition", "cl(1,0)", s) for s in surfaces}
+    for s in surfaces:
+        assert run("--alpha", "-1", "partition", "cl(1,0)", s)[0] == 0
+        assert run("partition", "cl(1,0)")[0] == 2
+        assert run("partition", "cl(1,0)", s) == fresh[s]
+    # Alpha -1 changes the rp2 value (chi = 1), so a leftover alpha would show.
+    assert run("--alpha", "-1", "partition", "cl(1,0)", "rp2:1") != fresh["rp2:1"]
+    capsys.readouterr()
 
 
 def test_stack_command():

@@ -107,6 +107,47 @@ def test_single_operand_and_outer_product():
     assert einsum("ab,c->cab", t, u) == left_to_right("ab,c->cab", t, u)
 
 
+# Joins of very unequal operands: (small letters, large letters, output).
+UNEQUAL_JOINS = [
+    ("a", "abc", "bc"),  # one shared letter
+    ("a", "abc", "cb"),  # permuted output
+    ("ab", "abc", "c"),  # several shared letters, one-letter output
+    ("ca", "abc", "b"),  # shared letters in another order
+    ("abc", "abc", ""),  # every letter shared, zero-letter output
+    ("a", "bcd", "dbac"),  # outer product
+]
+
+
+@pytest.mark.parametrize("small_idx, big_idx, out_idx", UNEQUAL_JOINS)
+def test_join_indexes_either_operand(small_idx, big_idx, out_idx):
+    # The two argument orders index the smaller operand on either side of
+    # the join; neither may change the result.
+    rng = random.Random(small_idx + big_idx + out_idx)
+    big = random_tensor(rng, len(big_idx), 3, 1.0)
+    one_entry = {(1,) * len(small_idx): CycloNum(2, -1)}
+    for small in (one_entry, random_tensor(rng, len(small_idx), 3, 0.5)):
+        assert len(small) < len(big)
+        for spec, ops in (
+            (f"{small_idx},{big_idx}->{out_idx}", (small, big)),
+            (f"{big_idx},{small_idx}->{out_idx}", (big, small)),
+        ):
+            assert einsum(spec, *ops) == left_to_right(spec, *ops)
+
+
+@pytest.mark.parametrize("small_idx, big_idx, _", UNEQUAL_JOINS)
+def test_join_without_output_order_keeps_operand_order(small_idx, big_idx, _):
+    # An inner join's letters are the free letters of the first operand,
+    # then those of the second, whichever operand is indexed.
+    rng = random.Random(small_idx + big_idx)
+    small = {(2,) * len(small_idx): CycloNum(0, 1, -1)}
+    big = random_tensor(rng, len(big_idx), 3, 1.0)
+    for i1, t1, i2, t2 in ((small_idx, small, big_idx, big), (big_idx, big, small_idx, small)):
+        free = "".join(c for c in i1 + i2 if c not in i1 or c not in i2)
+        t, letters = linalg._join(t1, i1, t2, i2)
+        assert letters == free
+        assert t == left_to_right(f"{i1},{i2}->{free}", t1, t2)
+
+
 def test_zero_sum_is_pruned():
     t1 = {(0, 0): ONE, (0, 1): ONE}
     t2 = {(0, 0): ONE, (1, 0): -ONE}

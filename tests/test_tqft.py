@@ -86,6 +86,24 @@ def test_state_space_solves_defining_equation(spec, sector):
             assert lhs == rhs, (spec, sector, b)
 
 
+@pytest.mark.parametrize(
+    "spec", ["cl(2,1)", "clc(2)", "cl(1,0) (x) mat(1|1)", "cl(1,0) (+) cl(0,1)"]
+)
+def test_generator_rows_solve_the_whole_system(spec):
+    # A constructor algebra solves only the rows of its generators; the same
+    # tensors without a generating set solve every row.
+    a = algebra(spec)
+    assert a.generators is not None
+    every_row = custom_from_tensors(
+        a.node, a.cap, a.cup, a.crossing, a.twist, a.vertex_weight, a.parity
+    )
+    assert every_row.generators is None
+    for sector in ("NS", "R"):
+        restricted, full = state_space(a, sector), state_space(every_row, sector)
+        assert [v.coeffs for v in restricted.basis] == [v.coeffs for v in full.basis]
+        assert restricted.parities == full.parities
+
+
 def test_state_space_bad_sector():
     with pytest.raises(ValueError):
         state_space(algebra("cl(1,0)"), "XX")
