@@ -6,7 +6,8 @@ standard output and its standard error.  The corpus covers `states`,
 presentation literals for the axiom spec mix up to dim 8 at three alphas,
 `check` up to dim 4, and `eval` of the ribbon diagrams in tests/golden/diagrams
 (both sides of the thirteen move fragments and closed diagrams with left twists
-and the mul/eta macros) on the `check` specs at alphas 1 and -1.  Diagram files
+and the mul/eta macros) on the `check` specs at alphas 1 and -1, and `abk` on one
+presentation literal of each rank 0, 1, 5, 10, 15 and 20.  Diagram files
 are named relative to the repository root, which the corpus runs from.
 
 After an intended change of output, rewrite the corpus with
@@ -53,6 +54,16 @@ SURFACES = (
     "g=0,c=0,q=[|]", "g=1,c=1,q=[2,2|1]", "g=2,c=0,q=[0,2;2,2|]",
 )
 EVAL_ALPHAS = ("1", "-1")
+# One presentation of each rank 0, 1, 5, 10, 15 and 20 (the brute-force cap),
+# tori and crosscaps mixed.
+ABK_LITERALS = (
+    "g=0,c=0,q=[|]",
+    "g=0,c=1,q=[|3]",
+    "g=1,c=3,q=[2,2|1,3,3]",
+    "g=3,c=4,q=[0,2;2,2;2,0|1,1,3,1]",
+    "g=5,c=5,q=[2,2;0,0;2,2;0,2;2,0|3,3,1,3,1]",
+    "g=6,c=8,q=[2,2;0,2;2,2;2,0;0,0;2,2|1,3,3,1,1,1,3,1]",
+)
 
 
 def commands():
@@ -70,6 +81,8 @@ def commands():
         for spec in CHECK_SPECS:
             for path in DIAGRAMS:
                 yield base + ["eval", spec, path]
+    for literal in ABK_LITERALS:
+        yield ["--format", "kv", "abk", literal]
 
 
 def record(argv) -> str:
