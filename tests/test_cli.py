@@ -94,6 +94,13 @@ def test_abk_command():
     assert "z^2" in text and "ABK^2" in text
 
 
+def test_abk_over_the_cap_exits_two(capsys):
+    code, text = run("abk", "g=6,c=9,q=[2,2;0,2;2,2;2,0;0,0;2,2|1,3,3,1,1,1,3,1,3]")
+    assert code == 2 and text == ""
+    err = capsys.readouterr().err
+    assert err == "error: rank 21 exceeds the brute-force cap 20\n"
+
+
 def test_eval_command(tmp_path):
     path = tmp_path / "rp2.rib"
     path.write_text("R 1 / cup / id t+ / cap\n")

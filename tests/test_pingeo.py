@@ -1,10 +1,13 @@
 import itertools
+import random
 
 import pytest
 
 from halftwist import (
     I,
     ONE,
+    SQRT2,
+    ZERO,
     PinSurfacePresentation,
     RibbonCurve,
     ZETA,
@@ -130,9 +133,74 @@ def test_abk_orientable_is_real_sign():
             assert abk(p) in (ONE, -ONE)
 
 
+def closed_form_abk(p):
+    """zeta^(#q=1 - #q=3 + 4 #(2,2)-tori), the Gauss sum of the standard form."""
+    exponent = p.crosscap_q.count(1) - p.crosscap_q.count(3)
+    exponent += 4 * p.torus_q.count((2, 2))
+    return zeta_pow(exponent % 8)
+
+
 def test_abk_rank_cap():
     with pytest.raises(ValueError, match="cap"):
         abk(PinSurfacePresentation(((0, 0),) * 11, ()))
+    at_cap = PinSurfacePresentation(((2, 2),) * 6, (1, 3) * 4)
+    assert at_cap.rank == 20
+    assert abk(at_cap) == closed_form_abk(at_cap)
+    over = PinSurfacePresentation(((2, 2),) * 6, (1, 3) * 4 + (1,))
+    with pytest.raises(ValueError) as info:
+        abk(over)
+    assert str(info.value) == "rank 21 exceeds the brute-force cap 20"
+
+
+class LinkedCrosscaps(PinSurfacePresentation):
+    """The standard form plus one intersection between the first two
+    crosscaps, a form that no closed-form product over tori and crosscaps
+    describes."""
+
+    def pairing(self, i, j):
+        first = 2 * self.genus
+        if {i, j} == {first, first + 1}:
+            return 1
+        return super().pairing(i, j)
+
+
+def direct_gauss_sum(p):
+    """Sum i^q(x) over the bit vectors x, each evaluated on its own by q_eval."""
+    powers = (ONE, I, -ONE, -I)
+    total = ZERO
+    for bits in itertools.product((0, 1), repeat=p.rank):
+        total = total + powers[q_eval(p, bits)]
+    return total / SQRT2**p.rank
+
+
+def test_abk_matches_direct_gauss_sum():
+    for p in all_presentations(7):
+        assert abk(p) == direct_gauss_sum(p), p
+
+
+def test_abk_reads_the_form_only_through_pairing():
+    changed = 0
+    for p in all_presentations(7):
+        if p.crosscaps < 2:
+            continue
+        linked = LinkedCrosscaps(p.torus_q, p.crosscap_q)
+        value = abk(linked)
+        assert value == direct_gauss_sum(linked), p
+        changed += value != abk(p)
+    assert changed  # the extra intersection is seen, not just tolerated
+
+
+@pytest.mark.parametrize("rank", range(11, 21))
+def test_abk_high_ranks_match_closed_form(rank):
+    rng = random.Random(rank)
+    for genus in sorted({0, rank // 4, rank // 2}):
+        p = PinSurfacePresentation(
+            tuple(
+                (rng.choice((0, 2)), rng.choice((0, 2))) for _ in range(genus)
+            ),
+            tuple(rng.choice((1, 3)) for _ in range(rank - 2 * genus)),
+        )
+        assert abk(p) == closed_form_abk(p), p
 
 
 def test_self_linking():
