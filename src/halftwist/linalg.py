@@ -16,14 +16,25 @@ letters and entries alone, so an identity can be written exactly as its
 equation reads and still be contracted cheaply.  Each distinct spec is split
 and validated once.  Before each join the term count is checked against
 CELL_CEILING, the same ceiling ribbon.evaluate puts on its boundary tables; a
-join over it raises ContractionTooLarge before any of it is built.
+join over it raises ContractionTooLarge before any of it is built.  When two
+operands remain there is nothing to choose, so their terms are counted only
+if |t1| * |t2|, which bounds them, passes the ceiling.
 
 Each join is a hash join: the operand with fewer entries is indexed on the
 shared letters and the other probes that index, so the work is the size of
-both operands plus one product per term, whichever side the spec names
-first.  Every key, on the shared letters and in the output, is read by an
-operator.itemgetter built once per join; an output key comes straight off
+both operands plus one key and one sum per term, whichever side the spec
+names first.  Every key, on the shared letters and in the output, is read by
+an operator.itemgetter built once per join; an output key comes straight off
 the two operand keys concatenated, in the order of the result's letters.
+
+The structure tensors hold few distinct values (cl(2,2)'s 256 node entries
+take two), so most terms of a join repeat a product already formed.  A join
+forms each distinct (probe value, indexed value) product once and reads it
+back from a table that lives for that join alone, keyed by the values'
+canonical ints, so results are unchanged bit for bit.  product_table admits
+the table only while it has no more slots than the join has input entries;
+operands whose values mostly differ form one product per term instead.
+ribbon.evaluate's steps use the same table under the same bound.
 
 Exact linear algebra has one elimination routine, row_reduce, which brings
 sparse rows ({column: value} dicts) to reduced row echelon form.  nullspace,
@@ -92,16 +103,21 @@ def einsum(spec: str, *tensors: SparseTensor) -> SparseTensor:
         raise ValueError(f"einsum spec {spec!r} expects {len(idx_lists)} operands")
     ops = list(zip(tensors, idx_lists))
     while len(ops) > 1:
-        terms, _, i, j = min(
-            (*_join_terms(ops[i], ops[j]), i, j)
-            for i in range(len(ops))
-            for j in range(i + 1, len(ops))
-        )
-        if terms > CELL_CEILING:
-            raise ContractionTooLarge(
-                f"einsum {spec!r} would form a join of {terms} terms, "
-                f"over the ceiling of {CELL_CEILING}"
+        i, j = 0, 1
+        # Two operands leave one pair, whose terms |t1| * |t2| bounds; count
+        # them exactly only when there is a choice or the bound passes the
+        # ceiling.
+        if len(ops) > 2 or len(ops[0][0]) * len(ops[1][0]) > CELL_CEILING:
+            terms, _, i, j = min(
+                (*_join_terms(ops[i], ops[j]), i, j)
+                for i in range(len(ops))
+                for j in range(i + 1, len(ops))
             )
+            if terms > CELL_CEILING:
+                raise ContractionTooLarge(
+                    f"einsum {spec!r} would form a join of {terms} terms, "
+                    f"over the ceiling of {CELL_CEILING}"
+                )
         ops[i] = _join(*ops[i], *ops[j], out_idx if len(ops) == 2 else None)
         del ops[j]
     cur, cur_idx = ops[0]
@@ -154,10 +170,14 @@ def _join(t1, i1, t2, i2, out_idx=None):
 
     The operand with fewer entries (t2 on a tie) is indexed on the shared
     letters and the other one probes the index; an outer product puts every
-    entry under one empty key.  Each term is one CycloNum product, and its
-    output key is read off the two operand keys concatenated, in the order
-    of the result's letters: the free letters of i1 then those of i2, or
-    out_idx when given.  Zeros are dropped as the result is returned.
+    entry under one empty key.  Each indexed entry carries the class of its
+    value, a small int shared by equal values.  Each term's output key is
+    read off the two operand keys concatenated, in the order of the
+    result's letters: the free letters of i1 then those of i2, or out_idx
+    when given.  Each distinct (probe value, indexed value) pair is
+    multiplied once when product_table admits a table for the join, and
+    once per term otherwise.  A key whose sum cancels to zero is dropped
+    where it forms.
     """
     common = [c for c in i1 if c in i2]
     if out_idx is None:
@@ -174,19 +194,52 @@ def _join(t1, i1, t2, i2, out_idx=None):
     out_key = _tuple_getter(probe_idx + build_idx, out_idx)
 
     index: dict = {}
+    classes: dict = {}
     for k, v in build.items():
-        index.setdefault(build_key(k), []).append((k, v))
+        c = classes.setdefault(v._v, len(classes))
+        index.setdefault(build_key(k), []).append((k, v, c))
+    table = product_table(probe.values(), len(classes), len(build))
     out: SparseTensor = {}
     for kp, vp in probe.items():
         group = index.get(probe_key(kp))
         if not group:
             continue
-        for kb, vb in group:
+        if table is not None:
+            products = table.get(vp._v)
+            if products is None:
+                products = table[vp._v] = [None] * len(classes)
+        for kb, vb, c in group:
+            if table is None:
+                term = vp * vb
+            else:
+                term = products[c]
+                if term is None:
+                    term = products[c] = vp * vb
             key = out_key(kp + kb)
             acc = out.get(key)
-            term = vp * vb
-            out[key] = term if acc is None else acc + term
-    return prune(out), out_idx
+            if acc is None:
+                out[key] = term
+            else:
+                total = acc + term
+                if total.is_zero():
+                    del out[key]
+                else:
+                    out[key] = total
+    return out, out_idx
+
+
+def product_table(probe_values, n_classes: int, n_build: int) -> dict | None:
+    """An empty product table for one join or ribbon step, or None.
+
+    The table maps a probe value's canonical ints to a list, indexed by the
+    class of the other factor, of their products, each formed on first use.
+    It holds one slot per pair of distinct values, so it is used only while
+    that count is at most the number of entries on both sides: distinct
+    probe values * n_classes <= len(probe_values) + n_build.  Inputs whose
+    values mostly differ get None, and their terms form one product each.
+    """
+    distinct = len({v._v for v in probe_values})
+    return {} if distinct * n_classes <= len(probe_values) + n_build else None
 
 
 def _tuple_getter(idx: str, out_idx: str):

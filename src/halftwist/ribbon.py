@@ -27,10 +27,11 @@ each boundary entry by its outputs.  An input strand is bound inside the
 step that first consumes it: the generator's rows are indexed by the strands
 already live, each row carries the values of the inputs not yet bound, and
 the step writes them into the entry's input tuple, so it forms only entries
-that have a row.  Only pass-through strands, which no generator touches,
-are bound by copying each entry once per basis value.  A step that would
-form more than CELL_CEILING entries is refused before it is built.  A
-closed diagram evaluates to a single exact scalar.
+that have a row.  A step forms each distinct product of an entry value and
+a weight once (see linalg.product_table).  Only pass-through strands, which
+no generator touches, are bound by copying each entry once per basis value.
+A step that would form more than CELL_CEILING entries is refused before it
+is built.  A closed diagram evaluates to a single exact scalar.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from itertools import product as iproduct
 from operator import itemgetter
 
 from .cyclo import CycloNum, ZERO, ONE
-from .linalg import CELL_CEILING, prune, scale
+from .linalg import CELL_CEILING, product_table, prune, scale
 from .superalgebra import HalfTwistAlgebra
 
 __all__ = [
@@ -297,9 +298,12 @@ def evaluate(diagram: RibbonDiagram, algebra: HalfTwistAlgebra) -> LinearBlock:
     into the entry's input tuple.  Strands that no generator touches are
     bound at the end, one copy of each entry per basis value.  Each step is
     checked against CELL_CEILING on the exact number of entries it forms,
-    before any of them is built.  The row indices are cached on the algebra
-    (see _rows), so a diagram without t- never inverts the twist.  The
-    result is multiplied by vertex_weight ** r_power.
+    before any of them is built.  A step forms each distinct (entry value,
+    weight) product once, in a table kept for that step when
+    linalg.product_table admits one, and sums that cancel are dropped where
+    they form.  The row indices, with the weights' value classes, are cached
+    on the algebra (see _rows), so a diagram without t- never inverts the
+    twist.  The result is multiplied by vertex_weight ** r_power.
     """
     n, m = diagram.validate()
     dim = algebra.dim
@@ -336,22 +340,32 @@ def evaluate(diagram: RibbonDiagram, algebra: HalfTwistAlgebra) -> LinearBlock:
         n_in, n_out = ARITY[kind]
         window = slots[pos : pos + n_in]
         unbound = tuple([s is not None for s in window])
-        rows_by_live, widest = _rows(algebra, kind, unbound)
+        rows_by_live, widest, n_classes, n_rows = _rows(algebra, kind, unbound)
         lo = slots[:pos].count(None)
         hi = lo + window.count(None)
         # len(state) * widest bounds the terms this step forms; count them
         # exactly only when the bound passes the ceiling.
         if len(state) * widest > CELL_CEILING:
             check(sum(len(rows_by_live.get(live[lo:hi], ())) for _, live in state))
+        table = product_table(state.values(), n_classes, n_rows)
         new: dict = {}
         for (ins, live), v in state.items():
             rows = rows_by_live.get(live[lo:hi])
             if not rows:
                 continue
+            if table is not None:
+                products = table.get(v._v)
+                if products is None:
+                    products = table[v._v] = [None] * n_classes
             pre, post = live[:lo], live[hi:]
-            for bound, outs, w in rows:
+            for bound, outs, w, c in rows:
+                if table is None:
+                    term = v * w
+                else:
+                    term = products[c]
+                    if term is None:
+                        term = products[c] = v * w
                 key = (ins + bound, pre + outs + post)
-                term = v * w
                 acc = new.get(key)
                 if acc is None:
                     new[key] = term
@@ -381,20 +395,31 @@ def _rows(algebra: HalfTwistAlgebra, kind: str, unbound: tuple[bool, ...]):
     """A generator's weight tensor as rows keyed by its live inputs.
 
     unbound flags which of the generator's inputs are not yet bound.  Each
-    row is (values of those inputs, outputs, weight), listed under the values
-    of the other inputs; widest is the length of the longest list.  The
-    index is a view of the algebra's tensors, which never change, so it is
-    built once per (kind, unbound) and kept in the algebra's cache.
+    row is (values of those inputs, outputs, weight, class of the weight),
+    listed under the values of the other inputs; equal weights share a
+    class, a small int.  Returns (rows, widest, n_classes, n_rows): widest
+    is the length of the longest list, n_classes the number of distinct
+    weights and n_rows the number of rows.  The index is a view of the
+    algebra's tensors, which never change, so it is built once per
+    (kind, unbound) and kept in the algebra's cache.
     """
     index = algebra._cache.setdefault("ribbon_rows", {})
     if (kind, unbound) not in index:
         n_in = len(unbound)
         live_at = [i for i, u in enumerate(unbound) if not u]
         bound_at = [i for i, u in enumerate(unbound) if u]
+        weights = WEIGHTS[kind](algebra)
+        classes: dict = {}
         rows: dict[tuple, list] = {}
-        for key, w in WEIGHTS[kind](algebra).items():
+        for key, w in weights.items():
             rows.setdefault(tuple(map(key.__getitem__, live_at)), []).append(
-                (tuple(map(key.__getitem__, bound_at)), key[n_in:], w)
+                (
+                    tuple(map(key.__getitem__, bound_at)),
+                    key[n_in:],
+                    w,
+                    classes.setdefault(w._v, len(classes)),
+                )
             )
-        index[kind, unbound] = rows, max(map(len, rows.values()), default=0)
+        widest = max(map(len, rows.values()), default=0)
+        index[kind, unbound] = rows, widest, len(classes), len(weights)
     return index[kind, unbound]

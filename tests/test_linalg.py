@@ -154,6 +154,84 @@ def test_zero_sum_is_pruned():
     assert einsum("ab,bc->ac", t1, t2) == {}
 
 
+def test_key_that_cancels_takes_later_terms():
+    # Key (0, 0) sums 1 - 1 = 0 after two terms and is dropped where it
+    # forms; the third term then starts it again.
+    t1 = {(0, 0): ONE, (0, 1): ONE, (0, 2): ONE}
+    t2 = {(0, 0): ONE, (1, 0): -ONE, (2, 0): CycloNum(5)}
+    t, letters = linalg._join(t1, "ab", t2, "bc", "ac")
+    assert t == {(0, 0): CycloNum(5)} == left_to_right("ab,bc->ac", t1, t2)
+    assert letters == "ac"
+
+
+def test_two_operands_under_the_bound_are_not_counted(monkeypatch):
+    # With one pair left, |t1| * |t2| bounds its terms; under the ceiling
+    # the join runs without the exact count.
+    rng = random.Random(3)
+    t1, t2 = random_tensor(rng, 2, 3, 0.7), random_tensor(rng, 3, 3, 0.5)
+    want = left_to_right("ab,bcd->acd", t1, t2)
+
+    def no_count(*args):
+        raise AssertionError("a two-operand join under the bound was counted")
+
+    monkeypatch.setattr(linalg, "_join_terms", no_count)
+    assert einsum("ab,bcd->acd", t1, t2) == want
+
+
+def count_products(monkeypatch):
+    """Count CycloNum products formed from here on."""
+    calls = []
+    mul = CycloNum.__mul__
+
+    def counted(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(CycloNum, "__mul__", counted)
+    return calls
+
+
+def test_join_forms_each_distinct_product_once(monkeypatch):
+    # a3's left side on cl(2,2) forms 256 + 4096 terms, and each operand of
+    # either join holds two distinct values.
+    a = algebra("cl(2,2)")
+    spec, ops = "abe,ef,fcd->abcd", (a.node, a.cup, a.node)
+    want = left_to_right(spec, *ops)
+    products = count_products(monkeypatch)
+    assert einsum(spec, *ops) == want
+    assert 0 < len(products) <= 8
+
+
+def test_join_of_distinct_values_forms_one_product_per_term(monkeypatch):
+    # 12 * 3 * 12 = 432 terms over 72 pairwise-distinct values: a table of
+    # 36 * 36 products would outgrow the 72 inputs, so none is kept.
+    values = iter(CycloNum(Fraction(n, 7), n % 5) for n in range(1, 73))
+    t1 = {(i, j): next(values) for i in range(12) for j in range(3)}
+    t2 = {(j, k): next(values) for j in range(3) for k in range(12)}
+    assert len({v for t in (t1, t2) for v in t.values()}) == 72
+    want = left_to_right("ab,bc->ac", t1, t2)
+    tables = []
+    product_table = linalg.product_table
+
+    def recording(*args):
+        tables.append(product_table(*args))
+        return tables[-1]
+
+    monkeypatch.setattr(linalg, "product_table", recording)
+    products = count_products(monkeypatch)
+    assert einsum("ab,bc->ac", t1, t2) == want
+    assert len(products) == 432
+    assert tables == [None]
+
+
+def test_product_table_bound():
+    # Three distinct values among four probe entries: 3 * n_classes slots
+    # against 4 + n_build entries.
+    probe = {(0,): ONE, (1,): ONE, (2,): CycloNum(2), (3,): CycloNum(3)}
+    assert linalg.product_table(probe.values(), 2, 2) == {}  # 6 <= 6
+    assert linalg.product_table(probe.values(), 3, 4) is None  # 9 > 8
+
+
 @pytest.mark.parametrize(
     "spec, count, match",
     [

@@ -305,6 +305,35 @@ def test_row_index_is_built_once_per_algebra(monkeypatch):
     assert calls == [a, b]
 
 
+def test_distinct_weights_form_one_product_per_term(monkeypatch):
+    # Every weight of cl(1,1)'s tensors scaled by its own prime, so no two
+    # weights are equal: the later steps' state values all differ, too many
+    # pairs for a product table, so those steps form one product per term.
+    base = algebra("cl(1,1)")
+    scales = iter(CycloNum(n) for n in range(2, 10**6) if all(n % p for p in range(2, n)))
+    tensors = [
+        {k: v * next(scales) for k, v in t.items()}
+        for t in (base.node, base.cap, base.cup, base.crossing, base.twist)
+    ]
+    assert len({v for t in tensors for v in t.values()}) == sum(map(len, tensors))
+    a = custom_from_tensors(*tensors, base.vertex_weight, base.parity)
+    tables = []
+    product_table = ribbon.product_table
+
+    def recording(*args):
+        tables.append(product_table(*args))
+        return tables[-1]
+
+    monkeypatch.setattr(ribbon, "product_table", recording)
+    for text in ("bottom 3 / id t+ id / node", "bottom 2 / id cup id / x x / cap cap"):
+        d = parse(text)
+        want = LinearBlock.identity(d.bottom, a.dim)
+        for (kind, pos), width in zip(d.ops, d.widths()):
+            want = want.then(step_block(a, kind, pos, width))
+        assert evaluate(d, a) == want, text
+    assert None in tables
+
+
 def test_singular_twist_errors():
     from halftwist.linalg import SingularMatrixError
 
