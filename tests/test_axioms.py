@@ -81,6 +81,7 @@ def _mutant(base, attr, key, value):
         "cup": dict(base.cup),
         "crossing": dict(base.crossing),
         "twist": dict(base.twist),
+        "star": None if base.star is None else dict(base.star),
     }
     tensors[attr][key] = value
     return custom_from_tensors(
@@ -88,7 +89,6 @@ def _mutant(base, attr, key, value):
         parity=base.parity,
         labels=base.labels,
         alpha=base.alpha,
-        star=base.star,
         **tensors,
     )
 
@@ -222,3 +222,171 @@ def test_sample_fault_injection():
         bad = _mutant(base, attr, key, value)
         report = check_all_axioms(bad)
         assert not report.all_passed, (attr, key)
+
+
+# The whole kv report of four single-entry mutants, pinned: which checks
+# fail, in report order, with their witnesses and both sides.
+FAILING_REPORTS = [
+    (
+        "cl(1,1)", "crossing", (1, 1, 1, 1), ONE,
+        """\
+a1 = pass
+a2 = pass
+a3 = pass
+a4 = pass
+a5 = pass
+a6 = fail
+a6.witness = (1, 1, 2, 3, 1)
+a6.lhs = 2 + 0*z + 0*z^2 + 0*z^3
+a6.rhs = -2 + 0*z + 0*z^2 + 0*z^3
+a7 = pass
+a8 = pass
+a9 = pass
+a10 = pass
+a11 = fail
+a11.witness = (1, 1, 0)
+a11.lhs = 2 + 0*z + 0*z^2 + 0*z^3
+a11.rhs = -2 + 0*z + 0*z^2 + 0*z^3
+a12 = pass
+a13 = fail
+a13.witness = (1, 1)
+a13.lhs = -1 + 0*z + 0*z^2 + 0*z^3
+a13.rhs = 1 + 0*z + 0*z^2 + 0*z^3
+nakayama_symmetric = pass
+nakayama_involution = pass
+nakayama_trivial = pass
+full_twist_automorphism = fail
+full_twist_automorphism.witness = (1, 2, 3)
+full_twist_automorphism.lhs = -1 + 0*z + 0*z^2 + 0*z^3
+full_twist_automorphism.rhs = 1 + 0*z + 0*z^2 + 0*z^3
+full_twist_isometry = pass
+twist_cap_transport = pass
+twist_crossing_transport = pass
+star_antiautomorphism = pass
+star_form = pass
+star_crossing = pass
+star_twist_inverse = pass
+vertex_weight_real = pass
+positive_definite = pass
+""",
+    ),
+    (
+        "cl(1,0)", "twist", (1, 1), ONE,
+        """\
+a1 = pass
+a2 = pass
+a3 = pass
+a4 = pass
+a5 = pass
+a6 = pass
+a7 = pass
+a8 = pass
+a9 = pass
+a10 = pass
+a11 = fail
+a11.witness = (1, 1, 0)
+a11.lhs = 0 + 1*z + 0*z^2 + -1*z^3
+a11.rhs = 0 + -1*z + 0*z^2 + 1*z^3
+a12 = pass
+a13 = fail
+a13.witness = (1, 1)
+a13.lhs = 1 + 0*z + 0*z^2 + 0*z^3
+a13.rhs = -1 + 0*z + 0*z^2 + 0*z^3
+nakayama_symmetric = pass
+nakayama_involution = pass
+nakayama_trivial = pass
+full_twist_automorphism = pass
+full_twist_isometry = pass
+twist_cap_transport = pass
+twist_crossing_transport = pass
+star_antiautomorphism = pass
+star_form = pass
+star_crossing = pass
+star_twist_inverse = pass
+vertex_weight_real = pass
+positive_definite = pass
+""",
+    ),
+    (
+        "mat(1|1)", "node", (0, 0, 0), CycloNum(2),
+        """\
+a1 = pass
+a2 = pass
+a3 = fail
+a3.witness = (0, 0, 1, 2)
+a3.lhs = 2 + 0*z + 0*z^2 + 0*z^3
+a3.rhs = 1 + 0*z + 0*z^2 + 0*z^3
+a4 = fail
+a4.witness = (0, 0, 0)
+a4.lhs = 2 + 0*z + 0*z^2 + 0*z^3
+a4.rhs = 9/2 + 0*z + 0*z^2 + 0*z^3
+a5 = pass
+a6 = pass
+a7 = pass
+a8 = pass
+a9 = pass
+a10 = pass
+a11 = pass
+a12 = pass
+a13 = pass
+nakayama_symmetric = pass
+nakayama_involution = pass
+nakayama_trivial = pass
+full_twist_automorphism = pass
+full_twist_isometry = pass
+twist_cap_transport = pass
+twist_crossing_transport = pass
+star_antiautomorphism = pass
+star_form = pass
+star_crossing = pass
+star_twist_inverse = pass
+vertex_weight_real = pass
+positive_definite = pass
+""",
+    ),
+    (
+        "cl(1,1)", "star", (1, 1), -algebra("cl(1,1)").star[1, 1],
+        """\
+a1 = pass
+a2 = pass
+a3 = pass
+a4 = pass
+a5 = pass
+a6 = pass
+a7 = pass
+a8 = pass
+a9 = pass
+a10 = pass
+a11 = pass
+a12 = pass
+a13 = pass
+nakayama_symmetric = pass
+nakayama_involution = pass
+nakayama_trivial = pass
+full_twist_automorphism = pass
+full_twist_isometry = pass
+twist_cap_transport = pass
+twist_crossing_transport = pass
+star_antiautomorphism = fail
+star_antiautomorphism.witness = (1, 2, 3)
+star_antiautomorphism.lhs = -1 + 0*z + 0*z^2 + 0*z^3
+star_antiautomorphism.rhs = 1 + 0*z + 0*z^2 + 0*z^3
+star_form = pass
+star_crossing = pass
+star_twist_inverse = pass
+vertex_weight_real = pass
+positive_definite = fail
+positive_definite.witness = ()
+""",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "spec, attr, key, value, expected",
+    FAILING_REPORTS,
+    ids=[f"{spec}-{attr}" for spec, attr, *_ in FAILING_REPORTS],
+)
+def test_failing_reports_pinned(spec, attr, key, value, expected):
+    bad = _mutant(algebra(spec), attr, key, value)
+    assert full_report(bad).render_kv() == expected.rstrip("\n")
