@@ -5,27 +5,11 @@ tensors; it is checked exhaustively over all free indices by sparse pairwise
 contraction, so a pass is a proof for the given algebra and a failure comes
 with a concrete witness (index tuple plus the two differing values).
 
-The axioms, with the diagram move each one encodes:
-
-    a1   Snake                          B_ac B^cb = delta_a^b
-    a2   Cyclicity                      C_abd B^dc = B^cd C_dab
-    a3   Pachner 2-2 (associativity)    C_abe B^ef C_fcd = C_bce B^ef C_afd
-    a4   Pachner 3-1 (specialness)      C_abc = R C_ade B^df C_fbg B^gh C_ihc B^ei
-    a5   Crossing at a critical point   B_ae lam_bc^ed = lam_ab^de B_ec
-    a6   Crossing at a node             lam_ab^ef C_fcd = C_axg lam_bc^xf lam_fd^ge
-    a7   Modified Reidemeister I        B^cd B_ce lam_da^eb = lam_ac^bd B^ce B_de
-    a8   Reidemeister II                lam_ab^ef lam_ef^cd = delta delta
-    a9   Reidemeister III               lam_ag^di lam_bc^gh lam_ih^ef
-                                          = lam_ab^gh lam_hc^if lam_gi^de
-    a10  Twist at a critical point      B_ac tau_b^c = tau_a^c B_cb
-    a11  Twist at a node                C_abd tau_c^d = tau_a^d tau_b^e lam_de^fg C_fgc
-    a12  Twist at a crossing            tau_a^e lam_eb^cd = lam_ab^ce tau_e^d
-    a13  Two half twists                tau_a^c tau_c^b = lam_ac^bd B^ce B_de
-
-In a6 the letter x marks the summed index that ties the node to the first
-crossing; spelled with a repeated letter the equation reads
-lam_ab^ef C_fcd = C_aeg lam_bc^ef lam_fd^ge with the free upper index the one
-on the last crossing.
+Each check is one table entry whose sides(a) forms the two tensors the
+identity equates; the index equation it encodes is written above it.  Every
+entry is formed and compared in one place, _check.  The operands of each
+einsum stay in the order written, since the planner breaks ties toward the
+leftmost pair.
 """
 
 from __future__ import annotations
@@ -46,42 +30,146 @@ from .linalg import (
 )
 from .superalgebra import HalfTwistAlgebra
 
-AXIOM_IDS = tuple(f"a{k}" for k in range(1, 14))
 
-AXIOM_NAMES = {
-    "a1": "snake",
-    "a2": "cyclicity",
-    "a3": "pachner 2-2",
-    "a4": "pachner 3-1",
-    "a5": "crossing at a critical point",
-    "a6": "crossing at a node",
-    "a7": "modified reidemeister I",
-    "a8": "reidemeister II",
-    "a9": "reidemeister III",
-    "a10": "twist at a critical point",
-    "a11": "twist at a node",
-    "a12": "twist at a crossing",
-    "a13": "two half twists",
+def _conj_tensor(t):
+    return {k: v.conjugate() for k, v in t.items()}
+
+
+# Each axiom as id -> (name, sides), with the diagram move it encodes as its
+# name; in a6 the letter x marks the summed index that ties the node to the
+# first crossing.
+AXIOMS = {
+    # B_ac B^cb = delta_a^b
+    "a1": ("snake", lambda a: (einsum("ac,cb->ab", a.cap, a.cup), delta(a.dim))),
+    # C_abd B^dc = B^cd C_dab
+    "a2": ("cyclicity", lambda a: (
+        einsum("abd,dc->abc", a.node, a.cup),
+        einsum("cd,dab->abc", a.cup, a.node),
+    )),
+    # C_abe B^ef C_fcd = C_bce B^ef C_afd
+    "a3": ("pachner 2-2", lambda a: (
+        einsum("abe,ef,fcd->abcd", a.node, a.cup, a.node),
+        einsum("bce,ef,afd->abcd", a.node, a.cup, a.node),
+    )),
+    # C_abc = R C_ade B^df C_fbg B^gh C_ihc B^ei
+    "a4": ("pachner 3-1", lambda a: (a.node, scale(
+        einsum("ade,df,fbg,gh,ihc,ei->abc", a.node, a.cup, a.node, a.cup, a.node, a.cup),
+        a.vertex_weight,
+    ))),
+    # B_ae lam_bc^ed = lam_ab^de B_ec
+    "a5": ("crossing at a critical point", lambda a: (
+        einsum("ae,bced->abcd", a.cap, a.crossing),
+        einsum("abde,ec->abcd", a.crossing, a.cap),
+    )),
+    # lam_ab^ef C_fcd = C_axg lam_bc^xf lam_fd^ge
+    "a6": ("crossing at a node", lambda a: (
+        einsum("abef,fcd->abcde", a.crossing, a.node),
+        einsum("axg,bcxf,fdge->abcde", a.node, a.crossing, a.crossing),
+    )),
+    # B^cd B_ce lam_da^eb = lam_ac^bd B^ce B_de
+    "a7": ("modified reidemeister I", lambda a: (
+        einsum("cd,ce,daeb->ab", a.cup, a.cap, a.crossing),
+        einsum("acbd,ce,de->ab", a.crossing, a.cup, a.cap),
+    )),
+    # lam_ab^ef lam_ef^cd = delta_a^c delta_b^d
+    "a8": ("reidemeister II", lambda a: (
+        einsum("abef,efcd->abcd", a.crossing, a.crossing),
+        {(x, y, x, y): ONE for x in range(a.dim) for y in range(a.dim)},
+    )),
+    # lam_ag^di lam_bc^gh lam_ih^ef = lam_ab^gh lam_hc^if lam_gi^de
+    "a9": ("reidemeister III", lambda a: (
+        einsum("agdi,bcgh,ihef->abcdef", a.crossing, a.crossing, a.crossing),
+        einsum("abgh,hcif,gide->abcdef", a.crossing, a.crossing, a.crossing),
+    )),
+    # B_ac tau_b^c = tau_a^c B_cb
+    "a10": ("twist at a critical point", lambda a: (
+        einsum("ac,bc->ab", a.cap, a.twist),
+        einsum("ac,cb->ab", a.twist, a.cap),
+    )),
+    # C_abd tau_c^d = tau_a^d tau_b^e lam_de^fg C_fgc
+    "a11": ("twist at a node", lambda a: (
+        einsum("abd,cd->abc", a.node, a.twist),
+        einsum("ad,be,defg,fgc->abc", a.twist, a.twist, a.crossing, a.node),
+    )),
+    # tau_a^e lam_eb^cd = lam_ab^ce tau_e^d
+    "a12": ("twist at a crossing", lambda a: (
+        einsum("ae,ebcd->abcd", a.twist, a.crossing),
+        einsum("abce,ed->abcd", a.crossing, a.twist),
+    )),
+    # tau_a^c tau_c^b = lam_ac^bd B^ce B_de
+    "a13": ("two half twists", lambda a: (
+        einsum("ac,cb->ab", a.twist, a.twist),
+        einsum("acbd,ce,de->ab", a.crossing, a.cup, a.cap),
+    )),
 }
 
-DERIVED_IDS = (
-    "nakayama_symmetric",
-    "nakayama_involution",
-    "nakayama_trivial",
-    "full_twist_automorphism",
-    "full_twist_isometry",
-    "twist_cap_transport",
-    "twist_crossing_transport",
-)
+AXIOM_IDS = tuple(AXIOMS)
 
-UNITARITY_IDS = (
-    "star_antiautomorphism",
-    "star_form",
-    "star_crossing",
-    "star_twist_inverse",
-    "vertex_weight_real",
-    "positive_definite",
-)
+# Identities that follow from a1-a13 for the superalgebra class, as
+# id -> sides.  nakayama_trivial is informational for hand-entered tensors,
+# where a nontrivial Nakayama map is legal; for constructor output it must
+# pass.
+DERIVED = {
+    "nakayama_symmetric": lambda a: (a.nakayama(), einsum("ca,cb->ab", a.cap, a.cup)),
+    "nakayama_involution": lambda a: (
+        einsum("ax,xb->ab", a.nakayama(), a.nakayama()),
+        delta(a.dim),
+    ),
+    "nakayama_trivial": lambda a: (a.nakayama(), delta(a.dim)),
+    "full_twist_automorphism": lambda a: (
+        einsum("abx,xc->abc", a.product_tensor(), a.full_twist()),
+        einsum("ax,by,xyc->abc", a.full_twist(), a.full_twist(), a.product_tensor()),
+    ),
+    "full_twist_isometry": lambda a: (
+        einsum("ax,by,xy->ab", a.full_twist(), a.full_twist(), a.cap),
+        a.cap,
+    ),
+    "twist_cap_transport": lambda a: (
+        einsum("cb,ca->ab", a.cup, a.twist),
+        einsum("ad,db->ab", a.cup, a.twist),
+    ),
+    "twist_crossing_transport": lambda a: (
+        einsum("be,aecd->abcd", a.twist, a.crossing),
+        einsum("abfd,fc->abcd", a.crossing, a.twist),
+    ),
+}
+
+# Adjointness of the generators under reflection, as id -> sides.  The star
+# map is antilinear, so wherever it acts on an element whose coefficients
+# came from earlier tensors those coefficients are conjugated before the star
+# matrix is applied.
+STAR = {
+    # star(m(star a, star b)) = m(b, a)
+    "star_antiautomorphism": lambda a: (
+        einsum(
+            "ax,by,xyc,cd->abd",
+            _conj_tensor(a.star),
+            _conj_tensor(a.star),
+            _conj_tensor(a.product_tensor()),
+            a.star,
+        ),
+        einsum("bac->abc", a.product_tensor()),
+    ),
+    # eta(star a, star b) = eta(b, a)
+    "star_form": lambda a: (
+        einsum("ax,by,xy->ab", a.star, a.star, a.cap),
+        einsum("ba->ab", a.cap),
+    ),
+    # (star x star) lam (star a, star b) = the mirrored crossing lam_ba^qp
+    # (reflection across the y axis reverses both the input pair and the
+    # output pair of a 2 -> 2 block).
+    "star_crossing": lambda a: (
+        einsum(
+            "ax,by,xyuv,up,vq->abpq",
+            _conj_tensor(a.star),
+            _conj_tensor(a.star),
+            _conj_tensor(a.crossing),
+            a.star,
+            a.star,
+        ),
+        einsum("baqp->abpq", a.crossing),
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -119,18 +207,14 @@ class AxiomReport:
     def all_passed(self) -> bool:
         return all(s.passed for s in self.statuses.values())
 
-    def failures(self) -> list[CheckStatus]:
-        return [s for s in self.statuses.values() if not s.passed]
-
     def render_text(self) -> str:
         width = max(len(k) for k in self.statuses)
         lines = []
         for key, status in self.statuses.items():
-            name = AXIOM_NAMES.get(key, "")
             mark = "pass" if status.passed else "FAIL"
             line = f"{key:<{width}}  {mark}"
-            if name:
-                line += f"  ({name})"
+            if key in AXIOMS:
+                line += f"  ({AXIOMS[key][0]})"
             if not status.passed:
                 line += f"  witness={status.witness}"
                 if status.lhs is not None:
@@ -158,81 +242,16 @@ def _status(check_id, lhs, rhs) -> CheckStatus:
     return CheckStatus(check_id, False, idx, lv, rv)
 
 
+def _check(a: HalfTwistAlgebra, check_id: str, sides) -> CheckStatus:
+    """Form one table entry's two sides and compare them over all indices."""
+    return _status(check_id, *sides(a))
+
+
 def check_axiom(a: HalfTwistAlgebra, which: str) -> CheckStatus:
     """Check one of a1..a13 exactly, over all free indices."""
-    node, cap, cup, lam, tau = a.node, a.cap, a.cup, a.crossing, a.twist
-    dim = a.dim
-    if which == "a1":
-        return _status("a1", einsum("ac,cb->ab", cap, cup), delta(dim))
-    if which == "a2":
-        return _status(
-            "a2",
-            einsum("abd,dc->abc", node, cup),
-            einsum("cd,dab->abc", cup, node),
-        )
-    if which == "a3":
-        return _status(
-            "a3",
-            einsum("abe,ef,fcd->abcd", node, cup, node),
-            einsum("bce,ef,afd->abcd", node, cup, node),
-        )
-    if which == "a4":
-        rhs = einsum("ade,df,fbg,gh,ihc,ei->abc", node, cup, node, cup, node, cup)
-        return _status("a4", node, scale(rhs, a.vertex_weight))
-    if which == "a5":
-        return _status(
-            "a5",
-            einsum("ae,bced->abcd", cap, lam),
-            einsum("abde,ec->abcd", lam, cap),
-        )
-    if which == "a6":
-        return _status(
-            "a6",
-            einsum("abef,fcd->abcde", lam, node),
-            einsum("axg,bcxf,fdge->abcde", node, lam, lam),
-        )
-    if which == "a7":
-        return _status(
-            "a7",
-            einsum("cd,ce,daeb->ab", cup, cap, lam),
-            einsum("acbd,ce,de->ab", lam, cup, cap),
-        )
-    if which == "a8":
-        ident2 = {
-            (x, y, x, y): ONE for x in range(dim) for y in range(dim)
-        }
-        return _status("a8", einsum("abef,efcd->abcd", lam, lam), ident2)
-    if which == "a9":
-        return _status(
-            "a9",
-            einsum("agdi,bcgh,ihef->abcdef", lam, lam, lam),
-            einsum("abgh,hcif,gide->abcdef", lam, lam, lam),
-        )
-    if which == "a10":
-        return _status(
-            "a10",
-            einsum("ac,bc->ab", cap, tau),
-            einsum("ac,cb->ab", tau, cap),
-        )
-    if which == "a11":
-        return _status(
-            "a11",
-            einsum("abd,cd->abc", node, tau),
-            einsum("ad,be,defg,fgc->abc", tau, tau, lam, node),
-        )
-    if which == "a12":
-        return _status(
-            "a12",
-            einsum("ae,ebcd->abcd", tau, lam),
-            einsum("abce,ed->abcd", lam, tau),
-        )
-    if which == "a13":
-        return _status(
-            "a13",
-            einsum("ac,cb->ab", tau, tau),
-            einsum("acbd,ce,de->ab", lam, cup, cap),
-        )
-    raise ValueError(f"unknown axiom id {which!r} (expected a1..a13)")
+    if which not in AXIOMS:
+        raise ValueError(f"unknown axiom id {which!r} (expected a1..a13)")
+    return _check(a, which, AXIOMS[which][1])
 
 
 def check_all_axioms(a: HalfTwistAlgebra) -> AxiomReport:
@@ -252,104 +271,21 @@ def check_all_axioms(a: HalfTwistAlgebra) -> AxiomReport:
 
 
 def check_derived(a: HalfTwistAlgebra) -> AxiomReport:
-    """Identities that follow from a1-a13 for the superalgebra class.
-
-    nakayama_trivial is informational for hand-entered tensors, where a
-    nontrivial Nakayama map is legal; for constructor output it must pass.
-    """
+    """The identities in DERIVED."""
     report = AxiomReport()
-    sigma = a.nakayama()
-    phi = a.full_twist()
-    ident = delta(a.dim)
-
-    report.add(
-        _status(
-            "nakayama_symmetric",
-            sigma,
-            einsum("ca,cb->ab", a.cap, a.cup),
-        )
-    )
-    report.add(_status("nakayama_involution", einsum("ax,xb->ab", sigma, sigma), ident))
-    report.add(_status("nakayama_trivial", sigma, ident))
-
-    product = a.product_tensor()
-    report.add(
-        _status(
-            "full_twist_automorphism",
-            einsum("abx,xc->abc", product, phi),
-            einsum("ax,by,xyc->abc", phi, phi, product),
-        )
-    )
-    report.add(
-        _status(
-            "full_twist_isometry",
-            einsum("ax,by,xy->ab", phi, phi, a.cap),
-            a.cap,
-        )
-    )
-    report.add(
-        _status(
-            "twist_cap_transport",
-            einsum("cb,ca->ab", a.cup, a.twist),
-            einsum("ad,db->ab", a.cup, a.twist),
-        )
-    )
-    report.add(
-        _status(
-            "twist_crossing_transport",
-            einsum("be,aecd->abcd", a.twist, a.crossing),
-            einsum("abfd,fc->abcd", a.crossing, a.twist),
-        )
-    )
+    for check_id, sides in DERIVED.items():
+        report.add(_check(a, check_id, sides))
     return report
 
 
-def _conj_tensor(t):
-    return {k: v.conjugate() for k, v in t.items()}
-
-
 def check_unitarity(a: HalfTwistAlgebra) -> AxiomReport:
-    """Adjointness of the five generators under reflection, plus positivity.
-
-    The star map is antilinear, so wherever it acts on an element whose
-    coefficients came from earlier tensors those coefficients are conjugated
-    before the star matrix is applied.
-    """
+    """The identities in STAR, the star of the twist, and positivity."""
     if a.star is None:
         raise ValueError("unitarity check needs the star tensor")
     report = AxiomReport()
+    for check_id, sides in STAR.items():
+        report.add(_check(a, check_id, sides))
     star = a.star
-    product = a.product_tensor()
-
-    # star(m(star a, star b)) = m(b, a)
-    lhs = einsum(
-        "ax,by,xyc,cd->abd",
-        _conj_tensor(star),
-        _conj_tensor(star),
-        _conj_tensor(product),
-        star,
-    )
-    rhs = einsum("bac->abc", product)
-    report.add(_status("star_antiautomorphism", lhs, rhs))
-
-    # eta(star a, star b) = eta(b, a)
-    lhs = einsum("ax,by,xy->ab", star, star, a.cap)
-    rhs = einsum("ba->ab", a.cap)
-    report.add(_status("star_form", lhs, rhs))
-
-    # (star x star) lam (star a, star b) = the mirrored crossing lam_ba^qp
-    # (reflection across the y axis reverses both the input pair and the
-    # output pair of a 2 -> 2 block).
-    lhs = einsum(
-        "ax,by,xyuv,up,vq->abpq",
-        _conj_tensor(star),
-        _conj_tensor(star),
-        _conj_tensor(a.crossing),
-        star,
-        star,
-    )
-    rhs = einsum("baqp->abpq", a.crossing)
-    report.add(_status("star_crossing", lhs, rhs))
 
     # star(tau(star a)) = tau^{-1}(a)
     lhs = einsum("ab,bc,cd->ad", _conj_tensor(star), _conj_tensor(a.twist), star)
