@@ -28,9 +28,9 @@ step that first consumes it: the generator's rows are indexed by the strands
 already live, each row carries the values of the inputs not yet bound, and
 the step writes them into the entry's input tuple, so it forms only entries
 that have a row.  A step forms each distinct product of an entry value and
-a weight once (see linalg.product_table).  Only pass-through strands, which
-no generator touches, are bound by copying each entry once per basis value.
-A step that would form more than CELL_CEILING entries is refused before it
+a weight once (see linalg.product_table).  A pass-through strand, which no
+generator touches, takes the same step at the end as the generator id, whose
+weight is delta.  A step that would form more than CELL_CEILING entries is refused before it
 is built.  A closed diagram evaluates to a single exact scalar.
 """
 
@@ -42,7 +42,7 @@ from itertools import product as iproduct
 from operator import itemgetter
 
 from .cyclo import CycloNum, ZERO, ONE
-from .linalg import CELL_CEILING, product_table, prune, scale
+from .linalg import CELL_CEILING, delta, product_table, prune, scale
 from .superalgebra import HalfTwistAlgebra
 
 __all__ = [
@@ -74,6 +74,7 @@ WEIGHTS = {
     "x": lambda a: a.crossing,
     "t+": lambda a: a.twist,
     "t-": lambda a: a.twist_inverse(),
+    "id": lambda a: delta(a.dim),
 }
 
 
@@ -295,18 +296,17 @@ def evaluate(diagram: RibbonDiagram, algebra: HalfTwistAlgebra) -> LinearBlock:
     already live, and each row puts the generator's outputs in their place
     with its weight.  A consumed input strand that is not live yet is bound
     in that same step: the row carries its basis value, which is written
-    into the entry's input tuple.  Strands that no generator touches are
-    bound at the end, one copy of each entry per basis value.  Each step is
-    checked against CELL_CEILING on the exact number of entries it forms,
-    before any of them is built.  A step forms each distinct (entry value,
-    weight) product once, in a table kept for that step when
+    into the entry's input tuple.  Strands that no generator touches take
+    the same step at the end, as the generator id with weight delta.  Each
+    step is checked against CELL_CEILING on the exact number of entries it
+    forms, before any of them is built.  A step forms each distinct (entry
+    value, weight) product once, in a table kept for that step when
     linalg.product_table admits one, and sums that cancel are dropped where
     they form.  The row indices, with the weights' value classes, are cached
     on the algebra (see _rows), so a diagram without t- never inverts the
     twist.  The result is multiplied by vertex_weight ** r_power.
     """
     n, m = diagram.validate()
-    dim = algebra.dim
 
     # Slots of the live boundary: an int marks an input strand not yet bound
     # (by input position), None a bound one whose basis value sits in the
@@ -316,27 +316,14 @@ def evaluate(diagram: RibbonDiagram, algebra: HalfTwistAlgebra) -> LinearBlock:
     order: list[int] = []
     state: dict = {((), ()): ONE}
 
-    def check(cells: int):
-        if cells > CELL_CEILING:
-            raise DiagramError(
-                f"boundary table would hold {cells} entries, over the ceiling "
-                f"of {CELL_CEILING}"
-            )
+    def steps():
+        yield from diagram.ops
+        # Strands that no generator touched pass through an id step.
+        for pos, s in enumerate(slots):
+            if s is not None:
+                yield "id", pos
 
-    def bind(pos: int):
-        nonlocal state
-        check(len(state) * dim)
-        j = slots[:pos].count(None)
-        new: dict = {}
-        for (ins, live), v in state.items():
-            pre, post = live[:j], live[j:]
-            for b in range(dim):
-                new[(ins + (b,), pre + (b,) + post)] = v
-        order.append(slots[pos])
-        slots[pos] = None
-        state = new
-
-    for kind, pos in diagram.ops:
+    for kind, pos in steps():
         n_in, n_out = ARITY[kind]
         window = slots[pos : pos + n_in]
         unbound = tuple([s is not None for s in window])
@@ -346,7 +333,12 @@ def evaluate(diagram: RibbonDiagram, algebra: HalfTwistAlgebra) -> LinearBlock:
         # len(state) * widest bounds the terms this step forms; count them
         # exactly only when the bound passes the ceiling.
         if len(state) * widest > CELL_CEILING:
-            check(sum(len(rows_by_live.get(live[lo:hi], ())) for _, live in state))
+            cells = sum(len(rows_by_live.get(live[lo:hi], ())) for _, live in state)
+            if cells > CELL_CEILING:
+                raise DiagramError(
+                    f"boundary table would hold {cells} entries, over the ceiling "
+                    f"of {CELL_CEILING}"
+                )
         table = product_table(state.values(), n_classes, n_rows)
         new: dict = {}
         for (ins, live), v in state.items():
@@ -379,9 +371,6 @@ def evaluate(diagram: RibbonDiagram, algebra: HalfTwistAlgebra) -> LinearBlock:
         slots[pos : pos + n_in] = [None] * n_out
         state = new
 
-    for pos, s in enumerate(slots):
-        if s is not None:
-            bind(pos)
     if order != sorted(order):
         # Two or more inputs, bound out of order: put them in input order.
         by_input = itemgetter(*map(order.index, range(n)))
