@@ -178,7 +178,7 @@ def parse(text: str) -> RibbonDiagram:
         if head == "R":
             if seen_header or seen_slice:
                 raise DiagramError("R header must come first", lineno, head_col)
-            if len(tokens) != 2 or not tokens[1][0].isdigit():
+            if len(tokens) != 2 or not tokens[1][0].isdecimal():
                 raise DiagramError("R header expects one nonnegative integer", lineno, head_col)
             r_power = int(tokens[1][0])
             seen_header = True
@@ -186,7 +186,7 @@ def parse(text: str) -> RibbonDiagram:
         if head == "bottom":
             if seen_slice:
                 raise DiagramError("bottom directive must precede slices", lineno, head_col)
-            if len(tokens) != 2 or not tokens[1][0].isdigit():
+            if len(tokens) != 2 or not tokens[1][0].isdecimal():
                 raise DiagramError("bottom expects one nonnegative integer", lineno, head_col)
             bottom = int(tokens[1][0])
             width = bottom

@@ -891,6 +891,8 @@ def algebra_from_text(text: str) -> HalfTwistAlgebra:
         try:
             if head == "dim":
                 dim = int(rest)
+                if dim < 0:
+                    raise ValueError(f"negative dim {dim}")
             elif head == "alpha":
                 alpha = CycloNum.parse(rest)
             elif head == "R":
@@ -900,6 +902,8 @@ def algebra_from_text(text: str) -> HalfTwistAlgebra:
                 labels[int(i)] = lab.strip()
             elif head == "parity":
                 i, p = rest.split()
+                if int(p) not in (0, 1):
+                    raise ValueError(f"parity {p} is not 0 or 1")
                 parity[int(i)] = int(p)
             elif head in tensors:
                 parts = rest.split(None, arity[head])
@@ -913,6 +917,10 @@ def algebra_from_text(text: str) -> HalfTwistAlgebra:
             raise ValueError(f"line {lineno}: {exc}") from None
     if dim is None:
         raise ValueError("missing dim header")
+    for record, indices in (("label", labels), ("parity", parity)):
+        for i in indices:
+            if not 0 <= i < dim:
+                raise ValueError(f"{record} index {i} outside 0..{dim - 1}")
     return custom_from_tensors(
         node=tensors["C"],
         cap=tensors["B"],

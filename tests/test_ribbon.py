@@ -56,6 +56,14 @@ def test_parse_errors_carry_position():
         parse("cup\nR 1")
 
 
+@pytest.mark.parametrize("text", ["R \u00b2\ncup / cap", "bottom \u00b2"])
+def test_header_integers_must_be_decimal(text):
+    # A superscript two passes str.isdigit but int() refuses it.
+    with pytest.raises(DiagramError, match="nonnegative integer") as err:
+        parse(text)
+    assert err.value.line == 1 and err.value.col == 1
+
+
 def test_validate_rejects_bad_programmatic_ops():
     d = RibbonDiagram(1, (("cap", 0),))
     with pytest.raises(DiagramError, match="needs 2"):

@@ -396,6 +396,20 @@ def test_algebra_from_text_rejects_zero_denominator():
         algebra_from_text(text)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("dim -3\n", "line 1: negative dim -3"),
+        ("dim 2\nlabel 5 x\n", "label index 5 outside 0..1"),
+        ("dim 2\nparity -1 1\n", "parity index -1 outside 0..1"),
+        ("dim 2\nparity 0 2\n", "line 2: parity 2 is not 0 or 1"),
+    ],
+)
+def test_algebra_from_text_rejects_malformed_records(text, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        algebra_from_text(text)
+
+
 def test_algebra_from_text_drops_zero_entries():
     a = algebra("cl(1,0)")
     b = algebra_from_text(algebra_to_text(a) + "C 1 1 1 0\nB 0 1 0\nstar 1 0 0\n")
