@@ -46,12 +46,12 @@ AXIOMS = {
         einsum("abd,dc->abc", a.node, a.cup),
         einsum("cd,dab->abc", a.cup, a.node),
     )),
-    # C_abe B^ef C_fcd = C_bce B^ef C_afd
+    # C_abe B^ef C_fcd = C_bce B^ef C_afd  (associativity)
     "a3": ("pachner 2-2", lambda a: (
         einsum("abe,ef,fcd->abcd", a.node, a.cup, a.node),
         einsum("bce,ef,afd->abcd", a.node, a.cup, a.node),
     )),
-    # C_abc = R C_ade B^df C_fbg B^gh C_ihc B^ei
+    # C_abc = R C_ade B^df C_fbg B^gh C_ihc B^ei  (specialness)
     "a4": ("pachner 3-1", lambda a: (a.node, scale(
         einsum("ade,df,fbg,gh,ihc,ei->abc", a.node, a.cup, a.node, a.cup, a.node, a.cup),
         a.vertex_weight,

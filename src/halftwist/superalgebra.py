@@ -901,10 +901,10 @@ def algebra_from_text(text: str) -> HalfTwistAlgebra:
                 i, lab = rest.split(None, 1)
                 labels[int(i)] = lab.strip()
             elif head == "parity":
-                i, p = rest.split()
-                if int(p) not in (0, 1):
+                i, p = map(int, rest.split())
+                if p not in (0, 1):
                     raise ValueError(f"parity {p} is not 0 or 1")
-                parity[int(i)] = int(p)
+                parity[i] = p
             elif head in tensors:
                 parts = rest.split(None, arity[head])
                 idx = tuple(int(x) for x in parts[: arity[head]])
