@@ -11,10 +11,11 @@ the spec: at each step every pair of remaining operands competes on the exact
 number of terms its join forms, the sum over shared-index keys of
 |bucket_1| * |bucket_2|, or |t1| * |t2| for an outer product.  The fewest
 terms win; an outer product loses a tie to a join over shared letters, and
-remaining ties go to the leftmost pair.  The plan depends on the operands'
-letters and entries alone, so an identity can be written exactly as its
-equation reads and still be contracted cheaply.  Each distinct spec is split
-and validated once.  Before each join the term count is checked against
+remaining ties go to the leftmost pair.  Within one call each operand's keys
+on a letter set are counted once, and each pair's count is kept until one of
+the two is joined.  The plan depends on the operands' letters and entries
+alone, so an identity can be written exactly as its equation reads and still
+be contracted cheaply.  Each distinct spec is split and validated once.  Before each join the term count is checked against
 CELL_CEILING, the same ceiling ribbon.evaluate puts on its boundary tables; a
 join over it raises ContractionTooLarge before any of it is built.  When two
 operands remain there is nothing to choose, so their terms are counted only
@@ -24,8 +25,9 @@ Each join is a hash join: the operand with fewer entries is indexed on the
 shared letters and the other probes that index, so the work is the size of
 both operands plus one key and one sum per term, whichever side the spec
 names first.  Every key, on the shared letters and in the output, is read by
-an operator.itemgetter built once per join; an output key comes straight off
-the two operand keys concatenated, in the order of the result's letters.
+an operator.itemgetter built once per (letters, letters, output) layout and
+cached; an output key comes straight off the two operand keys concatenated,
+in the order of the result's letters.
 
 The structure tensors hold few distinct values (cl(2,2)'s 256 node entries
 take two), so most terms of a join repeat a product already formed.  A join
@@ -50,6 +52,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cache
+from itertools import count
 from operator import itemgetter
 
 from .cyclo import CycloNum, ZERO, ONE
@@ -101,26 +104,32 @@ def einsum(spec: str, *tensors: SparseTensor) -> SparseTensor:
     idx_lists, out_idx = _parse_spec(spec)
     if len(idx_lists) != len(tensors):
         raise ValueError(f"einsum spec {spec!r} expects {len(idx_lists)} operands")
-    ops = list(zip(tensors, idx_lists))
+    # Each operand carries a serial and its own table of key counts by
+    # letter set; pair_terms holds each pair's count under both serials.
+    # Both go out of use when the operand is joined.
+    ops = [(t, idx, n, {}) for n, (t, idx) in enumerate(zip(tensors, idx_lists))]
+    pair_terms: dict = {}
+    serials = count(len(ops))
     while len(ops) > 1:
         i, j = 0, 1
         # Two operands leave one pair, whose terms |t1| * |t2| bounds; count
         # them exactly only when there is a choice or the bound passes the
         # ceiling.
         if len(ops) > 2 or len(ops[0][0]) * len(ops[1][0]) > CELL_CEILING:
-            terms, _, i, j = min(
-                (*_join_terms(ops[i], ops[j]), i, j)
+            n_terms, _, i, j = min(
+                (*_join_terms(ops[i], ops[j], pair_terms), i, j)
                 for i in range(len(ops))
                 for j in range(i + 1, len(ops))
             )
-            if terms > CELL_CEILING:
+            if n_terms > CELL_CEILING:
                 raise ContractionTooLarge(
-                    f"einsum {spec!r} would form a join of {terms} terms, "
+                    f"einsum {spec!r} would form a join of {n_terms} terms, "
                     f"over the ceiling of {CELL_CEILING}"
                 )
-        ops[i] = _join(*ops[i], *ops[j], out_idx if len(ops) == 2 else None)
+        joined = _join(*ops[i][:2], *ops[j][:2], out_idx if len(ops) == 2 else None)
+        ops[i] = (*joined, next(serials), {})
         del ops[j]
-    cur, cur_idx = ops[0]
+    cur, cur_idx = ops[0][:2]
     if cur_idx == out_idx:
         return cur
     # A single operand, only permuted.
@@ -148,21 +157,66 @@ def _parse_spec(spec: str) -> tuple[tuple[str, ...], str]:
     return idx_lists, out_idx
 
 
-def _join_terms(op1, op2) -> tuple[int, bool]:
-    """(terms, is_outer) of joining two operands.  terms is the exact number
-    of products the join forms: the sum over keys of the shared letters of
-    |bucket_1| * |bucket_2|, or |t1| * |t2| for an outer product."""
-    (t1, i1), (t2, i2) = op1, op2
-    common = [c for c in i1 if c in i2]
-    if not common:
-        return len(t1) * len(t2), True
-    # One letter gives bare values as keys, several give tuples; both
-    # operands count on the same letters, so their keys match.
-    c1 = Counter(map(itemgetter(*(i1.index(c) for c in common)), t1))
-    c2 = Counter(map(itemgetter(*(i2.index(c) for c in common)), t2))
-    if len(c1) > len(c2):
-        c1, c2 = c2, c1
-    return sum(n * c2[k] for k, n in c1.items()), False
+def _join_terms(op1, op2, pair_terms) -> tuple[int, bool]:
+    """(terms, is_outer) of joining two operands, each (tensor, letters,
+    serial, key counts).  terms is the exact number of products the join
+    forms: the sum over keys of the shared letters of |bucket_1| *
+    |bucket_2|, or |t1| * |t2| for an outer product.  An operand's keys on a
+    letter set are counted once, into its own key counts, and a pair's
+    result is kept in pair_terms under both serials."""
+    (t1, i1, n1, counts1), (t2, i2, n2, counts2) = op1, op2
+    pair = pair_terms.get((n1, n2))
+    if pair is None:
+        common, key1, key2 = _join_layout(i1, i2, None)[:3]
+        if common:
+            c1 = _key_counts(counts1, common, key1, t1)
+            c2 = _key_counts(counts2, common, key2, t2)
+            if len(c1) > len(c2):
+                c1, c2 = c2, c1
+            pair = sum(n * c2[k] for k, n in c1.items()), False
+        else:
+            pair = len(t1) * len(t2), True
+        pair_terms[n1, n2] = pair
+    return pair
+
+
+def _key_counts(counts: dict, common: str, key, t) -> Counter:
+    """How many entries of t fall on each key of the letters common, counted
+    on first use and kept in counts, the operand's own table."""
+    c = counts.get(common)
+    if c is None:
+        c = counts[common] = Counter(map(key, t))
+    return c
+
+
+@cache
+def _join_layout(i1: str, i2: str, out_idx: str | None):
+    """Letter layout of a join of operands over letters i1 and i2.
+
+    Returns (common, key1, key2, out12, out21, out_idx): the shared letters
+    in sorted order, so that every count and index of one letter set has
+    the same keys; getters of each operand's key on them (one letter gives
+    bare values, several give tuples, none gives ()); the output key
+    getters on the two keys concatenated with t1's first or t2's first; and
+    the output letters, the free letters of i1 then those of i2 unless
+    given.
+    """
+    common = "".join(sorted(set(i1) & set(i2)))
+    if out_idx is None:
+        out_idx = "".join(c for c in i1 + i2 if c not in common)
+    if common:
+        key1 = itemgetter(*map(i1.index, common))
+        key2 = itemgetter(*map(i2.index, common))
+    else:
+        key1 = key2 = itemgetter(slice(0))
+    return (
+        common,
+        key1,
+        key2,
+        _tuple_getter(i1 + i2, out_idx),
+        _tuple_getter(i2 + i1, out_idx),
+        out_idx,
+    )
 
 
 def _join(t1, i1, t2, i2, out_idx=None):
@@ -174,24 +228,17 @@ def _join(t1, i1, t2, i2, out_idx=None):
     value, a small int shared by equal values.  Each term's output key is
     read off the two operand keys concatenated, in the order of the
     result's letters: the free letters of i1 then those of i2, or out_idx
-    when given.  Each distinct (probe value, indexed value) pair is
-    multiplied once when product_table admits a table for the join, and
-    once per term otherwise.  A key whose sum cancels to zero is dropped
+    when given.  The getters for these keys come from _join_layout, built
+    once per (i1, i2, out_idx).  Each distinct (probe value, indexed value)
+    pair is multiplied once when product_table admits a table for the join,
+    and once per term otherwise.  A key whose sum cancels to zero is dropped
     where it forms.
     """
-    common = [c for c in i1 if c in i2]
-    if out_idx is None:
-        out_idx = "".join(c for c in i1 + i2 if c not in common)
+    _, key1, key2, out12, out21, out_idx = _join_layout(i1, i2, out_idx)
     if len(t1) < len(t2):
-        (build, build_idx), (probe, probe_idx) = (t1, i1), (t2, i2)
+        build, build_key, probe, probe_key, out_key = t1, key1, t2, key2, out21
     else:
-        (build, build_idx), (probe, probe_idx) = (t2, i2), (t1, i1)
-    if common:
-        build_key = itemgetter(*map(build_idx.index, common))
-        probe_key = itemgetter(*map(probe_idx.index, common))
-    else:
-        build_key = probe_key = itemgetter(slice(0))
-    out_key = _tuple_getter(probe_idx + build_idx, out_idx)
+        build, build_key, probe, probe_key, out_key = t2, key2, t1, key1, out12
 
     index: dict = {}
     classes: dict = {}

@@ -18,12 +18,16 @@ is an eighth root of unity that classifies enhancements up to equivalence.
 for the closed-surface state sums that is independent of any tensor
 contraction.  Up to rank BRUTE_FORCE_RANK_CAP it visits every class by
 doubling over the basis: the values of q on the classes below 2^k are one
-byte each, and the classes v + e_k are one `bytes.translate` of them, with
-the pairing <v, e_k> carried in from a parity pattern doubled the same way.
-So each basis vector costs one C-level pass, and at the cap the table is
-1 MiB (3 MiB at peak, against 8 MiB of pointers for a list of ints).  It
-reads the form only through `basis_values` and `pairing`, never through a
-closed form.
+byte each, and the classes v + e_k are one `bytes.translate` of them.  A
+basis vector that pairs with no earlier one (every crosscap, and every
+torus x-cycle of the standard basis) costs that one C-level pass alone.
+Any other carries the pairing <v, e_k> in from a parity pattern doubled the
+same way, which adds a pass of the pattern's doubling and an int round trip
+over the table.  At the cap the table is 1 MiB; tracemalloc puts the peak
+at 2 MiB when the last basis vector pairs with nothing below it and 3 MiB
+when it does, against 8 MiB of pointers for a list of ints.  It reads the
+form only through `basis_values` and `pairing`, never through a closed
+form.
 """
 
 from __future__ import annotations
@@ -134,10 +138,14 @@ def q_eval(p: PinSurfacePresentation, bits) -> int:
     The class is expanded in the standard basis in a fixed order, adding
     basis values and twice the pairing of the partial sum with each new
     generator; well-definedness under reorderings is a tested property.
+    Raises ValueError on a bit other than 0 or 1, naming its position.
     """
-    bits = tuple(int(b) & 1 for b in bits)
+    bits = tuple(int(b) for b in bits)
     if len(bits) != p.rank:
         raise ValueError(f"expected {p.rank} bits, got {len(bits)}")
+    for idx, bit in enumerate(bits):
+        if bit not in (0, 1):
+            raise ValueError(f"bit {idx} is {bit}; expected 0 or 1")
     basis = p.basis_values()
     total = 0
     taken: list[int] = []
@@ -159,11 +167,15 @@ def abk(p: PinSurfacePresentation) -> CycloNum:
 
         q(v + e_k) = q(v) + q(e_k) + 2 <v, e_k>   (mod 4)
 
-    as one `bytes.translate` of the lower half.  The pairing bit <v, e_k> is
-    a parity pattern over the lower bits, doubled the same way and carried
-    into the translate as bit 2 of each byte.  The form is read only through
+    as one `bytes.translate` of the lower half.  Row k of the form,
+    <e_j, e_k> for j < k, is read once.  When it is all zero the pairing
+    term vanishes and the translate alone extends the table.  Otherwise the
+    pairing bit <v, e_k> is a parity pattern over the lower bits, doubled
+    the same way and carried into the translate as bit 2 of each byte,
+    through one int round trip of the table.  The form is read only through
     `basis_values` and `pairing(j, k)` for j < k, once per pair, and each
-    class is still visited; at the rank cap the table is 1 MiB.
+    class is still visited; at the rank cap the table is 1 MiB, and the
+    peak 2 MiB (3 MiB when the last row is not zero).
     """
     r = p.rank
     if r > BRUTE_FORCE_RANK_CAP:
@@ -171,17 +183,20 @@ def abk(p: PinSurfacePresentation) -> CycloNum:
     basis = p.basis_values()
     q = b"\0"
     for k in range(r):
+        row = [p.pairing(j, k) for j in range(k)]
+        step = _STEP[basis[k] & 3]
+        if not any(row):
+            q += q.translate(step)
+            continue
         parity = b"\0"
-        for j in range(k):
-            parity += parity.translate(_FLIP) if p.pairing(j, k) else parity
+        for bit in row:
+            parity += parity.translate(_FLIP) if bit else parity
         carried = int.from_bytes(q, "little") | int.from_bytes(parity, "little")
-        q += carried.to_bytes(len(q), "little").translate(_STEP[basis[k] & 3])
-    counts = [q.count(value) for value in range(4)]
+        q += carried.to_bytes(len(q), "little").translate(step)
+    n0, n1, n2 = q.count(0), q.count(1), q.count(2)
+    n3 = len(q) - n0 - n1 - n2
 
-    total = (
-        CycloNum(counts[0] - counts[2]) + CycloNum(0, 0, counts[1] - counts[3])
-    )
-    return total / SQRT2**r
+    return CycloNum(n0 - n2, 0, n1 - n3) / SQRT2**r
 
 
 def self_linking(curve: RibbonCurve) -> int:

@@ -1,5 +1,6 @@
 import ast
 import random
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -266,6 +267,103 @@ def test_a4_never_builds_more_than_dim_cubed(monkeypatch):
     einsum("ade,df,fbg,gh,ihc,ei->abc", node, cup, node, cup, node, cup)
     assert len(sizes) == 5
     assert max(sizes) <= a.dim**3 == 4096
+
+
+def old_plan_joins(spec, *tensors):
+    """The letters of each join the planner made before key counts were
+    kept between steps: every remaining pair recounted at every step."""
+    idx_lists, out_idx = linalg._parse_spec(spec)
+    ops = list(zip(tensors, idx_lists))
+    joins = []
+    while len(ops) > 1:
+        candidates = []
+        for i in range(len(ops)):
+            for j in range(i + 1, len(ops)):
+                (t1, i1), (t2, i2) = ops[i], ops[j]
+                common = [c for c in i1 if c in i2]
+                if not common:
+                    candidates.append((len(t1) * len(t2), True, i, j))
+                    continue
+                c1 = Counter(tuple(k[i1.index(c)] for c in common) for k in t1)
+                c2 = Counter(tuple(k[i2.index(c)] for c in common) for k in t2)
+                terms = sum(n * c2[k] for k, n in c1.items())
+                candidates.append((terms, False, i, j))
+        _, _, i, j = min(candidates)
+        last = out_idx if len(ops) == 2 else None
+        joins.append((ops[i][1], ops[j][1], last))
+        ops[i] = linalg._join(*ops[i], *ops[j], last)
+        del ops[j]
+    return joins
+
+
+def star_crossing_operands(a):
+    conj = lambda t: {k: v.conjugate() for k, v in t.items()}  # noqa: E731
+    return conj(a.star), conj(a.star), conj(a.crossing), a.star, a.star
+
+
+PLANNED_NETWORKS = [
+    (
+        "ade,df,fbg,gh,ihc,ei->abc",
+        lambda a: (a.node, a.cup, a.node, a.cup, a.node, a.cup),
+    ),
+    ("ax,by,xyuv,up,vq->abpq", star_crossing_operands),
+    (
+        "ab,bxcd,cdf,afy->xy",
+        lambda a: (a.cup, a.crossing, a.product_tensor(), a.product_tensor()),
+    ),
+]
+
+
+@pytest.mark.parametrize("spec, operands", PLANNED_NETWORKS)
+@pytest.mark.parametrize("name", ["cl(2,2)", "cl(1,0) (x) mat(1|1)", "clc(2)"])
+def test_planner_keeps_the_join_sequence(monkeypatch, spec, operands, name):
+    # Key counts kept between steps choose the same joins, in the same
+    # order and with the same letters, as recounting every pair each step.
+    ops = operands(algebra(name))
+    want = old_plan_joins(spec, *ops)
+    joins = []
+    join = linalg._join
+
+    def recording_join(t1, i1, t2, i2, out_idx=None):
+        joins.append((i1, i2, out_idx))
+        return join(t1, i1, t2, i2, out_idx)
+
+    monkeypatch.setattr(linalg, "_join", recording_join)
+    assert einsum(spec, *ops) == left_to_right(spec, *ops)
+    assert joins == want
+
+
+def test_planner_counts_each_operand_once_per_letter_set(monkeypatch):
+    # a4's left side has six operands and five steps.  Recounting every
+    # pair that shares letters at every step built 36 Counters on cl(2,2);
+    # kept counts build one per (operand, letter set) asked for, 18 here,
+    # and each pair's terms are counted once.
+    a = algebra("cl(2,2)")
+    spec = "ade,df,fbg,gh,ihc,ei->abc"
+    ops = (a.node, a.cup, a.node, a.cup, a.node, a.cup)
+    want = einsum(spec, *ops)
+    built = []
+    asked = {}
+    counter, key_counts = linalg.Counter, linalg._key_counts
+
+    def recording_counter(keys):
+        built.append(1)
+        return counter(keys)
+
+    calls = []
+
+    def recording_key_counts(counts, common, key, t):
+        asked[id(t), common] = t  # keeps t alive, so its id stays unique
+        calls.append((id(t), common))
+        return key_counts(counts, common, key, t)
+
+    monkeypatch.setattr(linalg, "Counter", recording_counter)
+    monkeypatch.setattr(linalg, "_key_counts", recording_key_counts)
+    assert einsum(spec, *ops) == want
+    assert len(built) == len(asked)
+    assert len(built) < 36
+    pairs = list(zip(calls[0::2], calls[1::2]))  # both sides of one pair
+    assert len(set(pairs)) == len(pairs)
 
 
 def test_element_product_joins_the_elements_first(monkeypatch):

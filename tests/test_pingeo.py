@@ -50,6 +50,16 @@ def test_q_eval_examples():
         q_eval(klein, (1,))
 
 
+@pytest.mark.parametrize("bad", [2, 3, -1])
+def test_q_eval_rejects_bits_other_than_0_and_1(bad):
+    rp2 = PinSurfacePresentation((), (1,))
+    with pytest.raises(ValueError, match=f"^bit 0 is {bad}; expected 0 or 1$"):
+        q_eval(rp2, [bad])
+    klein = PinSurfacePresentation((), (1, 1))
+    with pytest.raises(ValueError, match="bit 1 is"):
+        q_eval(klein, (1, bad))
+
+
 def test_q_eval_is_quadratic_exhaustively():
     # q(x + y) = q(x) + q(y) + 2 <x, y> for all pairs, every presentation of
     # rank <= 6.  Values and pairings are tabulated once per presentation so
@@ -164,6 +174,17 @@ class LinkedCrosscaps(PinSurfacePresentation):
         return super().pairing(i, j)
 
 
+class LastMeetsTwo(PinSurfacePresentation):
+    """The standard form plus intersections of the last basis vector with
+    the first and the third, neither of which is the one just below it
+    once the rank is 5 or more."""
+
+    def pairing(self, i, j):
+        if self.rank >= 4 and {i, j} in ({0, self.rank - 1}, {2, self.rank - 1}):
+            return 1
+        return super().pairing(i, j)
+
+
 def direct_gauss_sum(p):
     """Sum i^q(x) over the bit vectors x, each evaluated on its own by q_eval."""
     powers = (ONE, I, -ONE, -I)
@@ -188,6 +209,20 @@ def test_abk_reads_the_form_only_through_pairing():
         assert value == direct_gauss_sum(linked), p
         changed += value != abk(p)
     assert changed  # the extra intersection is seen, not just tolerated
+
+
+def test_abk_takes_the_pairing_path_for_a_row_with_two_entries():
+    # The last row pairs with two earlier basis vectors, so the walk must
+    # carry the pairing in even where the standard form's row is zero.
+    changed = 0
+    for p in all_presentations(6):
+        if p.rank < 4:
+            continue
+        linked = LastMeetsTwo(p.torus_q, p.crosscap_q)
+        value = abk(linked)
+        assert value == direct_gauss_sum(linked), p
+        changed += value != abk(p)
+    assert changed
 
 
 @pytest.mark.parametrize("rank", range(11, 21))
