@@ -9,7 +9,6 @@ from halftwist import (
     build_clifford_complex,
     build_clifford_real,
     build_matrix,
-    derived_structures,
     direct_sum,
     parse_algebra,
     supertensor,
@@ -23,10 +22,9 @@ print("  cap     ", {k: repr(v) for k, v in sorted(a.cap.items())})
 print("  twist   ", {k: repr(v) for k, v in sorted(a.twist.items())})
 print("  vertex weight R =", a.vertex_weight)
 
-d = derived_structures(a)
-print("  unit     =", d.unit)
-print("  counit   =", [repr(v) for v in d.counit])
-print("  nakayama =", {k: repr(v) for k, v in sorted(d.nakayama.items())}, "(trivial)")
+print("  unit     =", a.unit())
+print("  counit   =", [repr(a.counit(a.basis_element(x))) for x in range(a.dim)])
+print("  nakayama =", {k: repr(v) for k, v in sorted(a.nakayama().items())}, "(trivial)")
 
 print()
 c = build_clifford_complex(1)

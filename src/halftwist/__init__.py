@@ -12,14 +12,12 @@ from .cyclo import CycloNum, ZERO, ONE, ZETA, I, SQRT2, zeta_pow, real_sqrt
 from .superalgebra import (
     HalfTwistAlgebra,
     AlgebraElement,
-    DerivedStructures,
     build_clifford_real,
     build_clifford_complex,
     build_matrix,
     direct_sum,
     supertensor,
     custom_from_tensors,
-    derived_structures,
     parse_algebra,
     algebra_to_text,
     algebra_from_text,
@@ -45,10 +43,8 @@ from .ribbon import (
 )
 from .pingeo import (
     PinSurfacePresentation,
-    RibbonCurve,
     q_eval,
     abk,
-    self_linking,
     are_equivalent,
     dehn_twist_torus,
     parse_presentation,

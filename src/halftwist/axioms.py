@@ -30,6 +30,17 @@ from .linalg import (
 )
 from .superalgebra import HalfTwistAlgebra
 
+__all__ = [
+    "AXIOM_IDS",
+    "AxiomReport",
+    "CheckStatus",
+    "check_axiom",
+    "check_all_axioms",
+    "check_derived",
+    "check_unitarity",
+    "full_report",
+]
+
 
 def _conj_tensor(t):
     return {k: v.conjugate() for k, v in t.items()}

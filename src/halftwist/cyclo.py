@@ -193,22 +193,10 @@ class CycloNum:
             exp >>= 1
         return result
 
-    def _galois(self, k: int) -> "CycloNum":
-        """Image under the automorphism zeta -> zeta^k, k odd."""
-        n0, n1, n2, n3, d = self._v
-        if k % 8 == 1:
-            return self
-        if k % 8 == 3:
-            return _from_canonical((n0, n3, -n2, n1, d))
-        if k % 8 == 5:
-            return _from_canonical((n0, -n1, n2, -n3, d))
-        if k % 8 == 7:
-            return _from_canonical((n0, -n3, -n2, -n1, d))
-        raise ValueError("Galois automorphisms need k coprime to 8")
-
     def conjugate(self) -> "CycloNum":
         """Complex conjugation, zeta -> zeta^(-1) = -zeta^3."""
-        return self._galois(7)
+        n0, n1, n2, n3, d = self._v
+        return _from_canonical((n0, -n3, -n2, -n1, d))
 
     # -- predicates --------------------------------------------------------
 

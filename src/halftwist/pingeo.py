@@ -39,10 +39,8 @@ from .cyclo import CycloNum, SQRT2
 
 __all__ = [
     "PinSurfacePresentation",
-    "RibbonCurve",
     "q_eval",
     "abk",
-    "self_linking",
     "are_equivalent",
     "dehn_twist_torus",
     "parse_presentation",
@@ -120,18 +118,6 @@ class PinSurfacePresentation:
         return f"PinSurfacePresentation({render_presentation(self)!r})"
 
 
-@dataclass(frozen=True)
-class RibbonCurve:
-    """Local data of an embedded curve's ribbon diagram."""
-
-    tokens: tuple[str, ...]
-
-    def __post_init__(self):
-        for t in self.tokens:
-            if t not in ("rh_twist", "lh_twist", "crossing"):
-                raise ValueError(f"unknown ribbon curve token {t!r}")
-
-
 def q_eval(p: PinSurfacePresentation, bits) -> int:
     """Evaluate the enhancement on a Z/2 homology class given as a bit vector.
 
@@ -197,15 +183,6 @@ def abk(p: PinSurfacePresentation) -> CycloNum:
     n3 = len(q) - n0 - n1 - n2
 
     return CycloNum(n0 - n2, 0, n1 - n3) / SQRT2**r
-
-
-def self_linking(curve: RibbonCurve) -> int:
-    """Self-linking count mod 4: right twists minus left plus twice the
-    crossings."""
-    rh = sum(1 for t in curve.tokens if t == "rh_twist")
-    lh = sum(1 for t in curve.tokens if t == "lh_twist")
-    cr = sum(1 for t in curve.tokens if t == "crossing")
-    return (rh - lh + 2 * cr) % 4
 
 
 def are_equivalent(p1: PinSurfacePresentation, p2: PinSurfacePresentation) -> bool:

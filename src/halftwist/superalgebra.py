@@ -48,7 +48,6 @@ from .linalg import (
     mat_invert,
     prune,
     scale,
-    tensors_differ,
 )
 
 MAX_CLIFFORD_GENERATORS = 8  # every generator counts, the I of clc(n) included
@@ -56,14 +55,12 @@ MAX_CLIFFORD_GENERATORS = 8  # every generator counts, the I of clc(n) included
 __all__ = [
     "HalfTwistAlgebra",
     "AlgebraElement",
-    "DerivedStructures",
     "build_clifford_real",
     "build_clifford_complex",
     "build_matrix",
     "direct_sum",
     "supertensor",
     "custom_from_tensors",
-    "derived_structures",
     "parse_algebra",
     "algebra_to_text",
     "algebra_from_text",
@@ -148,11 +145,6 @@ class HalfTwistAlgebra:
                 )
             self._cache["unit"] = AlgebraElement(self, u)
         return self._cache["unit"]  # type: ignore[return-value]
-
-    def counit_vector(self) -> tuple[CycloNum, ...]:
-        """counit(e_x) = eta(1, e_x)."""
-        eps = einsum("a,ax->x", self.unit().vector, self.cap)
-        return AlgebraElement(self, eps).coeffs
 
     def counit(self, x: "AlgebraElement") -> CycloNum:
         return self.eta(self.unit(), x)
@@ -278,17 +270,6 @@ class AlgebraElement:
 
     def __repr__(self):
         return f"<{self.render()}>"
-
-
-@dataclass(frozen=True)
-class DerivedStructures:
-    """Structures recomputed from the raw tensors rather than trusted."""
-
-    product: SparseTensor
-    unit: AlgebraElement
-    counit: tuple[CycloNum, ...]
-    full_twist: SparseTensor
-    nakayama: SparseTensor
 
 
 def _swap_crossing(parity: tuple[int, ...]) -> SparseTensor:
@@ -693,24 +674,6 @@ def custom_from_tensors(
     )
 
 
-def derived_structures(a: HalfTwistAlgebra) -> DerivedStructures:
-    """Recompute product, unit, counit, full twist and Nakayama map.
-
-    Requires an invertible cap form (the stored cup must be its two-sided
-    inverse); raises SingularMatrixError otherwise.
-    """
-    snake = einsum("ac,cb->ab", a.cap, a.cup)
-    if tensors_differ(snake, delta(a.dim)) is not None:
-        raise SingularMatrixError("cap form is singular or cup is not its inverse")
-    return DerivedStructures(
-        product=a.product_tensor(),
-        unit=a.unit(),
-        counit=a.counit_vector(),
-        full_twist=a.full_twist(),
-        nakayama=a.nakayama(),
-    )
-
-
 # -- algebra spec grammar ---------------------------------------------------
 
 _SPEC_TOKEN = re.compile(
@@ -875,6 +838,9 @@ def algebra_to_text(a: HalfTwistAlgebra) -> str:
 
 
 def algebra_from_text(text: str) -> HalfTwistAlgebra:
+    """Read what algebra_to_text writes.  Each header, label, parity and
+    tensor entry may appear once; a short, repeated or unknown record raises
+    ValueError naming its line."""
     dim = None
     alpha = ONE
     r_weight = ONE
@@ -883,37 +849,46 @@ def algebra_from_text(text: str) -> HalfTwistAlgebra:
     tensors: dict[str, SparseTensor] = {key: {} for key, _, _ in _TENSOR_FIELDS}
     arity = {key: ar for key, _, ar in _TENSOR_FIELDS}
     has_star = False
+    seen: set[tuple[str, tuple[int, ...]]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         head, _, rest = line.partition(" ")
         try:
+            if head in ("dim", "alpha", "R"):
+                idx, value = (), rest
+            elif head in ("label", "parity") or head in tensors:
+                n = arity.get(head, 1)
+                fields = rest.split(None, n)
+                if len(fields) != n + 1:
+                    need = "an index" if n == 1 else f"{n} indices"
+                    raise ValueError(f"{head} record needs {need} and a value")
+                idx, value = tuple(int(x) for x in fields[:n]), fields[n]
+            else:
+                raise ValueError(f"unknown record {head!r}")
+            if (head, idx) in seen:
+                raise ValueError(f"repeated {head} {' '.join(map(str, idx)) or 'header'}")
+            seen.add((head, idx))
             if head == "dim":
-                dim = int(rest)
+                dim = int(value)
                 if dim < 0:
                     raise ValueError(f"negative dim {dim}")
             elif head == "alpha":
-                alpha = CycloNum.parse(rest)
+                alpha = CycloNum.parse(value)
             elif head == "R":
-                r_weight = CycloNum.parse(rest)
+                r_weight = CycloNum.parse(value)
             elif head == "label":
-                i, lab = rest.split(None, 1)
-                labels[int(i)] = lab.strip()
+                labels[idx[0]] = value
             elif head == "parity":
-                i, p = map(int, rest.split())
+                p = int(value)
                 if p not in (0, 1):
                     raise ValueError(f"parity {p} is not 0 or 1")
-                parity[i] = p
-            elif head in tensors:
-                parts = rest.split(None, arity[head])
-                idx = tuple(int(x) for x in parts[: arity[head]])
-                tensors[head][idx] = CycloNum.parse(parts[arity[head]])
-                if head == "star":
-                    has_star = True
+                parity[idx[0]] = p
             else:
-                raise ValueError(f"unknown record {head!r}")
-        except (ValueError, IndexError) as exc:
+                tensors[head][idx] = CycloNum.parse(value)
+                has_star = has_star or head == "star"
+        except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
     if dim is None:
         raise ValueError("missing dim header")

@@ -34,7 +34,7 @@ from .cyclo import CycloNum, ZERO, zeta_pow, real_sqrt
 from .linalg import SparseTensor, einsum, nullspace, row_reduce, scale
 from .pingeo import PinSurfacePresentation, parse_presentation
 from .ribbon import LinearBlock, evaluate, parse
-from .superalgebra import AlgebraElement, HalfTwistAlgebra
+from .superalgebra import AlgebraElement, HalfTwistAlgebra, supertensor
 
 __all__ = [
     "StateSpace",
@@ -360,8 +360,6 @@ def stacking_check(
 
     Surfaces are given as `parse_surface` literals, which name the rows.
     """
-    from .superalgebra import supertensor
-
     presentations = [(name, parse_surface(name)) for name in surfaces]
     prod = supertensor(a, b)
     surface_rows = []

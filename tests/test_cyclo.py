@@ -294,7 +294,7 @@ def test_canonical_form():
     assert lattice(x) == lattice(y) == (5, -6, 0, 15, 15)
     assert lattice(x * x.inverse()) == lattice(ONE)
     assert lattice((x + ONE) - ONE) == lattice(x)
-    for v in (x, -x, x.conjugate(), x._galois(3), x._galois(5), x ** 3):
+    for v in (x, -x, x.conjugate(), x ** 3):
         assert_canonical(v)
 
 

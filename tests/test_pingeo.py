@@ -9,7 +9,6 @@ from halftwist import (
     SQRT2,
     ZERO,
     PinSurfacePresentation,
-    RibbonCurve,
     ZETA,
     abk,
     are_equivalent,
@@ -17,7 +16,6 @@ from halftwist import (
     parse_presentation,
     q_eval,
     render_presentation,
-    self_linking,
     zeta_pow,
 )
 
@@ -236,15 +234,6 @@ def test_abk_high_ranks_match_closed_form(rank):
             tuple(rng.choice((1, 3)) for _ in range(rank - 2 * genus)),
         )
         assert abk(p) == closed_form_abk(p), p
-
-
-def test_self_linking():
-    assert self_linking(RibbonCurve(("rh_twist",))) == 1
-    assert self_linking(RibbonCurve(("lh_twist", "lh_twist"))) == 2
-    assert self_linking(RibbonCurve(("rh_twist",) * 3 + ("crossing",))) == 1
-    assert self_linking(RibbonCurve(())) == 0
-    with pytest.raises(ValueError):
-        RibbonCurve(("loop",))
 
 
 def test_are_equivalent():

@@ -17,13 +17,12 @@ from halftwist import (
     build_clifford_real,
     build_matrix,
     custom_from_tensors,
-    derived_structures,
     direct_sum,
     parse_algebra,
     supertensor,
 )
 from halftwist import superalgebra
-from halftwist.linalg import CELL_CEILING, SingularMatrixError
+from halftwist.linalg import CELL_CEILING
 from conftest import algebra
 
 
@@ -36,6 +35,11 @@ def test_clifford_1_0_tensors():
     assert a.twist == {(0, 0): ONE, (1, 1): I}
     assert a.vertex_weight == ONE / SQRT2
     assert a.generators == (1,)
+    assert a.unit() == a.basis_element(0)
+    assert [a.counit(a.basis_element(x)) for x in range(2)] == [SQRT2, ZERO]
+    assert a.nakayama() == {(0, 0): ONE, (1, 1): ONE}
+    assert a.full_twist() == {(0, 0): ONE, (1, 1): CycloNum(-1)}
+    assert a.product_tensor()[(1, 1, 0)] == ONE
 
 
 def test_clifford_ground_field():
@@ -99,9 +103,9 @@ def test_complex_clifford_twist_table():
 
 def test_complex_clifford_counit_and_unit():
     a = algebra("clc(1)")
-    eps = a.counit_vector()
-    assert eps[0] == CycloNum(2) * SQRT2  # alpha 2^{(n+2)/2} with n = 1
-    assert eps[a.index_of_label("I")] == ZERO
+    counit = a.counit(a.basis_element(0))
+    assert counit == CycloNum(2) * SQRT2  # alpha 2^{(n+2)/2} with n = 1
+    assert a.counit(a.basis_element(a.index_of_label("I"))) == ZERO
     assert a.unit() == a.basis_element(0)
     assert algebra("clc(0)").dim == 2
 
@@ -287,27 +291,8 @@ def test_one_dimensional_custom_passes_derivations():
         parity=(0,),
         alpha=alpha,
     )
-    d = derived_structures(c)
-    assert d.unit == c.basis_element(0)
-    assert d.counit[0] == alpha
-
-
-def test_derived_structures_clifford():
-    a = algebra("cl(1,0)")
-    d = derived_structures(a)
-    assert d.unit == a.basis_element(0)
-    assert d.counit[0] == SQRT2 and d.counit[1] == ZERO
-    assert d.nakayama == {(0, 0): ONE, (1, 1): ONE}
-    assert d.full_twist == {(0, 0): ONE, (1, 1): CycloNum(-1)}
-    assert d.product[(1, 1, 0)] == ONE
-
-
-def test_derived_structures_rejects_singular_cap():
-    broken = custom_from_tensors(
-        {}, {(0, 0): ONE}, {(0, 0): ONE}, {}, {}, ONE, (0, 1)
-    )
-    with pytest.raises(SingularMatrixError):
-        derived_structures(broken)
+    assert c.unit() == c.basis_element(0)
+    assert c.counit(c.basis_element(0)) == alpha
 
 
 def test_full_twist_is_parity_for_constructors():
@@ -403,6 +388,17 @@ def test_algebra_from_text_rejects_zero_denominator():
         ("dim 2\nlabel 5 x\n", "label index 5 outside 0..1"),
         ("dim 2\nparity -1 1\n", "parity index -1 outside 0..1"),
         ("dim 2\nparity 0 2\n", "line 2: parity 2 is not 0 or 1"),
+        ("dim 1\nC 0 0\n", "line 2: C record needs 3 indices and a value"),
+        ("dim 1\nlam 0 0 0 0\n", "line 2: lam record needs 4 indices and a value"),
+        ("dim 1\nlabel 0\n", "line 2: label record needs an index and a value"),
+        ("dim 1\nparity\n", "line 2: parity record needs an index and a value"),
+        ("dim 1\ndim 2\n", "line 2: repeated dim header"),
+        ("dim 1\nalpha 1\nalpha 2\n", "line 3: repeated alpha header"),
+        ("R 1\ndim 1\nR 2\n", "line 3: repeated R header"),
+        ("dim 2\nlabel 0 x\nlabel 0 y\n", "line 3: repeated label 0"),
+        ("dim 2\nparity 1 0\nparity 1 1\n", "line 3: repeated parity 1"),
+        ("dim 1\nB 0 0 1\nB 0 0 2\n", "line 3: repeated B 0 0"),
+        ("dim 1\nB 0 0 0\nB 0 0 2\n", "line 3: repeated B 0 0"),
     ],
 )
 def test_algebra_from_text_rejects_malformed_records(text, message):
