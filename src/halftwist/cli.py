@@ -22,6 +22,7 @@ whitespace.  Output is deterministic;
 from __future__ import annotations
 
 import argparse
+import io
 import sys
 from functools import cache
 
@@ -245,12 +246,16 @@ def main(argv=None, out=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    out = out or sys.stdout
+    # The whole output is rendered before any of it is written, so a command
+    # that fails partway leaves stdout empty.
+    rendered = io.StringIO()
     try:
-        return _COMMANDS[args.command](args, out)
+        code = _COMMANDS[args.command](args, rendered)
     except (OSError, DiagramError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    (out or sys.stdout).write(rendered.getvalue())
+    return code
 
 
 if __name__ == "__main__":

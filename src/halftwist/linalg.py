@@ -29,6 +29,18 @@ an operator.itemgetter built once per (letters, letters, output) layout and
 cached; an output key comes straight off the two operand keys concatenated,
 in the order of the result's letters.
 
+einsum_slices() yields the same contraction one value of its first output
+letter at a time, in increasing order, so that a caller comparing two sides
+holds one slice of each at once: about |result| / dim entries where einsum
+would build all of them.  Only the operand that carries the letter is cut.
+The joins are planned once per call, on the first slice, with each join that
+takes in the slice counting its terms once per slice, since every slice
+repeats it; the other slices replay that plan.  Each operand a slice is
+joined with is indexed once per call, and a join between operands that do
+not carry the letter is formed once per call, so a slice costs only the
+work on its own entries.  This is the slicing of tensor-network contraction
+along one index (Gray & Kourtis, Quantum 5, 410 (2021)).
+
 The structure tensors hold few distinct values (cl(2,2)'s 256 node entries
 take two), so most terms of a join repeat a product already formed.  A join
 forms each distinct (probe value, indexed value) product once and reads it
@@ -111,30 +123,129 @@ def einsum(spec: str, *tensors: SparseTensor) -> SparseTensor:
     pair_terms: dict = {}
     serials = count(len(ops))
     while len(ops) > 1:
-        i, j = 0, 1
-        # Two operands leave one pair, whose terms |t1| * |t2| bounds; count
-        # them exactly only when there is a choice or the bound passes the
-        # ceiling.
-        if len(ops) > 2 or len(ops[0][0]) * len(ops[1][0]) > CELL_CEILING:
-            n_terms, _, i, j = min(
-                (*_join_terms(ops[i], ops[j], pair_terms), i, j)
-                for i in range(len(ops))
-                for j in range(i + 1, len(ops))
-            )
-            if n_terms > CELL_CEILING:
-                raise ContractionTooLarge(
-                    f"einsum {spec!r} would form a join of {n_terms} terms, "
-                    f"over the ceiling of {CELL_CEILING}"
-                )
+        i, j = _next_pair(spec, ops, pair_terms)
         joined = _join(*ops[i][:2], *ops[j][:2], out_idx if len(ops) == 2 else None)
         ops[i] = (*joined, next(serials), {})
         del ops[j]
-    cur, cur_idx = ops[0][:2]
-    if cur_idx == out_idx:
-        return cur
-    # A single operand, only permuted.
-    reorder = _tuple_getter(cur_idx, out_idx)
-    return {reorder(k): v for k, v in cur.items()}
+    return _permuted(*ops[0][:2], out_idx)
+
+
+def einsum_slices(spec: str, *tensors: SparseTensor):
+    """Yield einsum(spec, *tensors) one value of its first output letter at
+    a time, as (value, the result's entries at that value), in increasing
+    order of value, for every value the letter takes in its operand.
+
+    Only the operand carrying the letter is cut.  The joins are planned on
+    its first slice by einsum's rule, with the terms of a join that takes in
+    the slice counted once per slice, and every later slice repeats that
+    plan: a join between operands that do not carry the letter is formed
+    once, and each operand a slice is joined with is indexed once (see the
+    module docstring).  A slice's join is counted before it is built when
+    its terms could pass CELL_CEILING, and ContractionTooLarge is raised if
+    they do.  A spec with no output letter raises ValueError.
+    """
+    idx_lists, out_idx = _parse_spec(spec)
+    if len(idx_lists) != len(tensors):
+        raise ValueError(f"einsum spec {spec!r} expects {len(idx_lists)} operands")
+    if not out_idx:
+        raise ValueError(f"einsum spec {spec!r} has no output letter to slice")
+    cut = carrier = next(n for n, idx in enumerate(idx_lists) if out_idx[0] in idx)
+    slice_key = itemgetter(idx_lists[cut].index(out_idx[0]))
+    parts: dict = {}
+    for k, v in tensors[cut].items():
+        parts.setdefault(slice_key(k), {})[k] = v
+    values = sorted(parts)
+    if not values:
+        return
+
+    # The first slice is contracted as einsum would, with every join that
+    # takes in the carrier's entries kept as a step that later slices repeat.
+    ops = [(t, idx, n, {}) for n, (t, idx) in enumerate(zip(tensors, idx_lists))]
+    ops[cut] = (parts.pop(values[0]), idx_lists[cut], cut, {})
+    pair_terms: dict = {}
+    serials = count(len(ops))
+    steps = []
+    while len(ops) > 1:
+        i, j = _next_pair(spec, ops, pair_terms, carrier, len(values))
+        (t1, i1, n1, _), (t2, i2, n2, _) = ops[i], ops[j]
+        last = out_idx if len(ops) == 2 else None
+        serial = next(serials)
+        if carrier in (n1, n2):
+            steps.append(_slice_step(spec, t1, i1, t2, i2, last, carrier == n1))
+            joined = steps[-1](t1 if carrier == n1 else t2)
+            carrier = serial
+        else:
+            joined = _join(t1, i1, t2, i2, last)
+        ops[i] = (*joined, serial, {})
+        del ops[j]
+    yield values[0], _permuted(*ops.pop()[:2], out_idx)
+
+    for value in values[1:]:
+        cur, cur_idx = parts.pop(value), idx_lists[cut]
+        for step in steps:
+            cur, cur_idx = step(cur)
+        yield value, _permuted(cur, cur_idx, out_idx)
+
+
+def _slice_step(spec: str, t1, i1, t2, i2, out_idx, first: bool):
+    """One join of einsum_slices, as a function from the slice side's
+    entries to (joined tensor, its letters).  The other operand (t2 when the
+    slice side is first, else t1) is indexed here, once for every slice,
+    and each slice probes it.  A slice's terms are counted only when its
+    size times the widest key of the index passes CELL_CEILING."""
+    _, key1, key2, out12, out21, out_idx = _join_layout(i1, i2, out_idx)
+    if first:
+        other, other_key, cur_key, out_key = t2, key2, key1, out12
+    else:
+        other, other_key, cur_key, out_key = t1, key1, key2, out21
+    n_other = len(other)
+    index, n_classes = _index(other, other_key)
+    widest = max(map(len, index.values()), default=0)
+
+    def step(cur):
+        if len(cur) * widest > CELL_CEILING:
+            n_terms = sum(len(index.get(k, ())) for k in map(cur_key, cur))
+            if n_terms > CELL_CEILING:
+                raise _too_large(spec, n_terms)
+        return _probe(cur, cur_key, index, n_classes, n_other, out_key), out_idx
+
+    return step
+
+
+def _next_pair(spec: str, ops, pair_terms, carrier=None, repeats=1) -> tuple[int, int]:
+    """Positions of the pair of operands to join next, by the rule in the
+    module docstring.  A join that takes in the operand with serial carrier
+    is formed repeats times, so its terms count that many times in the
+    choice.  Two operands leave one pair, whose terms |t1| * |t2| bounds;
+    they are counted exactly only when there is a choice or the bound
+    passes the ceiling.  Raises ContractionTooLarge when the chosen join
+    would form more than CELL_CEILING terms."""
+    if len(ops) == 2 and len(ops[0][0]) * len(ops[1][0]) <= CELL_CEILING:
+        return 0, 1
+    _, _, i, j, n_terms = min(
+        (n * (repeats if carrier in (ops[i][2], ops[j][2]) else 1), is_outer, i, j, n)
+        for i in range(len(ops))
+        for j in range(i + 1, len(ops))
+        for n, is_outer in [_join_terms(ops[i], ops[j], pair_terms)]
+    )
+    if n_terms > CELL_CEILING:
+        raise _too_large(spec, n_terms)
+    return i, j
+
+
+def _too_large(spec: str, n_terms: int) -> ContractionTooLarge:
+    return ContractionTooLarge(
+        f"einsum {spec!r} would form a join of {n_terms} terms, "
+        f"over the ceiling of {CELL_CEILING}"
+    )
+
+
+def _permuted(t: SparseTensor, idx: str, out_idx: str) -> SparseTensor:
+    """t, over letters idx, with its keys in the order of out_idx."""
+    if idx == out_idx:
+        return t
+    reorder = _tuple_getter(idx, out_idx)
+    return {reorder(k): v for k, v in t.items()}
 
 
 @cache
@@ -223,29 +334,39 @@ def _join(t1, i1, t2, i2, out_idx=None):
     """Contract two operands over every letter they share, by a hash join.
 
     The operand with fewer entries (t2 on a tie) is indexed on the shared
-    letters and the other one probes the index; an outer product puts every
-    entry under one empty key.  Each indexed entry carries the class of its
-    value, a small int shared by equal values.  Each term's output key is
-    read off the two operand keys concatenated, in the order of the
+    letters (_index) and the other one probes the index (_probe); an outer
+    product puts every entry under one empty key.  Each term's output key
+    is read off the two operand keys concatenated, in the order of the
     result's letters: the free letters of i1 then those of i2, or out_idx
     when given.  The getters for these keys come from _join_layout, built
-    once per (i1, i2, out_idx).  Each distinct (probe value, indexed value)
-    pair is multiplied once when product_table admits a table for the join,
-    and once per term otherwise.  A key whose sum cancels to zero is dropped
-    where it forms.
+    once per (i1, i2, out_idx).
     """
     _, key1, key2, out12, out21, out_idx = _join_layout(i1, i2, out_idx)
     if len(t1) < len(t2):
-        build, build_key, probe, probe_key, out_key = t1, key1, t2, key2, out21
-    else:
-        build, build_key, probe, probe_key, out_key = t2, key2, t1, key1, out12
+        return _probe(t2, key2, *_index(t1, key1), len(t1), out21), out_idx
+    return _probe(t1, key1, *_index(t2, key2), len(t2), out12), out_idx
 
+
+def _index(build: SparseTensor, build_key) -> tuple[dict, int]:
+    """(index, n_classes): build's entries as (key, value, class) lists
+    under their keys on the shared letters, where the class of a value is a
+    small int shared by equal values, and the number of classes."""
     index: dict = {}
     classes: dict = {}
     for k, v in build.items():
         c = classes.setdefault(v._v, len(classes))
         index.setdefault(build_key(k), []).append((k, v, c))
-    table = product_table(probe.values(), len(classes), len(build))
+    return index, len(classes)
+
+
+def _probe(probe: SparseTensor, probe_key, index, n_classes: int, n_build: int,
+           out_key) -> SparseTensor:
+    """The terms of probe's entries with the indexed entries on their keys,
+    summed under out_key(probe key + indexed key).  Each distinct (probe
+    value, indexed value) pair is multiplied once when product_table admits
+    a table, and once per term otherwise.  A key whose sum cancels to zero
+    is dropped where it forms."""
+    table = product_table(probe.values(), n_classes, n_build)
     out: SparseTensor = {}
     for kp, vp in probe.items():
         group = index.get(probe_key(kp))
@@ -254,7 +375,7 @@ def _join(t1, i1, t2, i2, out_idx=None):
         if table is not None:
             products = table.get(vp._v)
             if products is None:
-                products = table[vp._v] = [None] * len(classes)
+                products = table[vp._v] = [None] * n_classes
         for kb, vb, c in group:
             if table is None:
                 term = vp * vb
@@ -272,7 +393,7 @@ def _join(t1, i1, t2, i2, out_idx=None):
                     del out[key]
                 else:
                     out[key] = total
-    return out, out_idx
+    return out
 
 
 def product_table(probe_values, n_classes: int, n_build: int) -> dict | None:

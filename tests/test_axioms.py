@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from halftwist import (
@@ -13,11 +15,12 @@ from halftwist import (
     check_unitarity,
     custom_from_tensors,
     full_report,
+    parse_algebra,
 )
-from halftwist import axioms
+from halftwist import axioms, linalg
 from halftwist.axioms import AXIOM_IDS, CheckStatus
 from halftwist.linalg import CELL_CEILING, ContractionTooLarge
-from conftest import algebra
+from conftest import AXIOM_SUITE_SPECS, algebra
 
 CONSTRUCTOR_SPECS = (
     "cl(0,0)",
@@ -224,7 +227,7 @@ def test_sample_fault_injection():
         assert not report.all_passed, (attr, key)
 
 
-# The whole kv report of four single-entry mutants, pinned: which checks
+# The whole kv report of six single-entry mutants, pinned: which checks
 # fail, in report order, with their witnesses and both sides.
 FAILING_REPORTS = [
     (
@@ -379,14 +382,183 @@ positive_definite = fail
 positive_definite.witness = ()
 """,
     ),
+    # Two mutants of cl(2,2), whose dim^3 of 4096 puts a3, a4, a6 and a9 on
+    # the sliced path; between them they fail all four, a6 first at slice 7.
+    (
+        "cl(2,2)", "node", (7, 0, 6), ONE,
+        """\
+a1 = pass
+a2 = fail
+a2.witness = (0, 6, 7)
+a2.lhs = 0 + 0*z + 0*z^2 + 0*z^3
+a2.rhs = -1/4 + 0*z + 0*z^2 + 0*z^3
+a3 = fail
+a3.witness = (1, 6, 0, 6)
+a3.lhs = 1 + 0*z + 0*z^2 + 0*z^3
+a3.rhs = 0 + 0*z + 0*z^2 + 0*z^3
+a4 = fail
+a4.witness = (0, 0, 1)
+a4.lhs = 0 + 0*z + 0*z^2 + 0*z^3
+a4.rhs = -1/16 + 0*z + 0*z^2 + 0*z^3
+a5 = pass
+a6 = fail
+a6.witness = (7, 1, 0, 6, 1)
+a6.lhs = -1 + 0*z + 0*z^2 + 0*z^3
+a6.rhs = 1 + 0*z + 0*z^2 + 0*z^3
+a7 = pass
+a8 = pass
+a9 = pass
+a10 = pass
+a11 = fail
+a11.witness = (0, 7, 6)
+a11.lhs = 0 + 0*z + 0*z^2 + 0*z^3
+a11.rhs = 0 + 0*z + -1*z^2 + 0*z^3
+a12 = pass
+a13 = pass
+nakayama_symmetric = pass
+nakayama_involution = pass
+nakayama_trivial = pass
+full_twist_automorphism = fail
+full_twist_automorphism.witness = (7, 0, 6)
+full_twist_automorphism.lhs = -1/4 + 0*z + 0*z^2 + 0*z^3
+full_twist_automorphism.rhs = 1/4 + 0*z + 0*z^2 + 0*z^3
+full_twist_isometry = pass
+twist_cap_transport = pass
+twist_crossing_transport = pass
+star_antiautomorphism = fail
+star_antiautomorphism.witness = (0, 7, 6)
+star_antiautomorphism.lhs = 0 + 0*z + 0*z^2 + 0*z^3
+star_antiautomorphism.rhs = -1/4 + 0*z + 0*z^2 + 0*z^3
+star_form = pass
+star_crossing = pass
+star_twist_inverse = pass
+vertex_weight_real = pass
+positive_definite = pass
+""",
+    ),
+    (
+        "cl(2,2)", "crossing", (4, 2, 8, 3), ONE,
+        """\
+a1 = pass
+a2 = pass
+a3 = pass
+a4 = pass
+a5 = fail
+a5.witness = (4, 2, 3, 8)
+a5.lhs = 0 + 0*z + 0*z^2 + 0*z^3
+a5.rhs = -4 + 0*z + 0*z^2 + 0*z^3
+a6 = fail
+a6.witness = (0, 4, 2, 8, 3)
+a6.lhs = 0 + 0*z + 0*z^2 + 0*z^3
+a6.rhs = 4 + 0*z + 0*z^2 + 0*z^3
+a7 = pass
+a8 = fail
+a8.witness = (2, 4, 8, 3)
+a8.lhs = -1 + 0*z + 0*z^2 + 0*z^3
+a8.rhs = 0 + 0*z + 0*z^2 + 0*z^3
+a9 = fail
+a9.witness = (1, 4, 2, 8, 3, 1)
+a9.lhs = -1 + 0*z + 0*z^2 + 0*z^3
+a9.rhs = 1 + 0*z + 0*z^2 + 0*z^3
+a10 = pass
+a11 = fail
+a11.witness = (4, 2, 11)
+a11.lhs = 0 + 0*z + 0*z^2 + 0*z^3
+a11.rhs = -4 + 0*z + 0*z^2 + 0*z^3
+a12 = fail
+a12.witness = (4, 2, 8, 3)
+a12.lhs = 0 + 0*z + 1*z^2 + 0*z^3
+a12.rhs = -1 + 0*z + 0*z^2 + 0*z^3
+a13 = pass
+nakayama_symmetric = pass
+nakayama_involution = pass
+nakayama_trivial = pass
+full_twist_automorphism = pass
+full_twist_isometry = pass
+twist_cap_transport = pass
+twist_crossing_transport = fail
+twist_crossing_transport.witness = (4, 2, 8, 3)
+twist_crossing_transport.lhs = 0 + 0*z + -1*z^2 + 0*z^3
+twist_crossing_transport.rhs = 0 + 0*z + 1*z^2 + 0*z^3
+star_antiautomorphism = pass
+star_form = pass
+star_crossing = fail
+star_crossing.witness = (2, 4, 3, 8)
+star_crossing.lhs = 0 + 0*z + 0*z^2 + 0*z^3
+star_crossing.rhs = 1 + 0*z + 0*z^2 + 0*z^3
+star_twist_inverse = pass
+vertex_weight_real = pass
+positive_definite = pass
+""",
+    ),
 ]
 
 
-@pytest.mark.parametrize(
-    "spec, attr, key, value, expected",
-    FAILING_REPORTS,
-    ids=[f"{spec}-{attr}" for spec, attr, *_ in FAILING_REPORTS],
-)
+FAILING_IDS = [f"{spec}-{attr}" for spec, attr, *_ in FAILING_REPORTS]
+
+
+@pytest.mark.parametrize("spec, attr, key, value, expected", FAILING_REPORTS, ids=FAILING_IDS)
 def test_failing_reports_pinned(spec, attr, key, value, expected):
     bad = _mutant(algebra(spec), attr, key, value)
     assert full_report(bad).render_kv() == expected.rstrip("\n")
+
+
+@pytest.mark.parametrize("spec, attr, key, value, expected", FAILING_REPORTS, ids=FAILING_IDS)
+def test_failing_reports_pinned_when_every_check_is_sliced(
+    monkeypatch, spec, attr, key, value, expected
+):
+    monkeypatch.setattr(axioms, "SLICE_ABOVE", 0)
+    bad = _mutant(algebra(spec), attr, key, value)
+    assert full_report(bad).render_kv() == expected.rstrip("\n")
+
+
+@pytest.mark.parametrize("spec", AXIOM_SUITE_SPECS)
+def test_sliced_and_whole_sides_agree(monkeypatch, spec):
+    # Every constructor spec of dim 1-16: the SLICED axioms checked on
+    # whole sides and slice by slice give the same statuses.
+    a = algebra(spec)
+    cut = []
+
+    def recording_slices(spec, *tensors):
+        cut.append(spec)
+        return linalg.einsum_slices(spec, *tensors)
+
+    monkeypatch.setattr(axioms, "einsum_slices", recording_slices)
+    statuses = {}
+    for slice_above in (a.dim**3, 0):
+        monkeypatch.setattr(axioms, "SLICE_ABOVE", slice_above)
+        statuses[slice_above] = [check_axiom(a, which) for which in sorted(axioms.SLICED)]
+    assert len(cut) == 2 * len(axioms.SLICED)
+    assert statuses[0] == statuses[a.dim**3]
+
+
+def test_sliced_sides_are_paired_by_value(monkeypatch):
+    # The left side's cut operand has an entry at a = 0 that joins nothing,
+    # so that side yields an empty slice for 0 and the right side none.
+    monkeypatch.setattr(axioms, "SLICE_ABOVE", 0)
+    left, right = {(0, 5): ONE, (1, 0): ONE}, {(0, 0): ONE}
+
+    def sides(extra):
+        return lambda a, einsum: (
+            einsum("ab,bc->ac", left, right),
+            einsum("ac->ac", {(1, 0): ONE, **extra}),
+        )
+
+    a = algebra("cl(1,0)")
+    assert axioms._check(a, "a3", sides({})) == CheckStatus("a3", True)
+    assert axioms._check(a, "a3", sides({(2, 1): I})) == CheckStatus("a3", False, (2, 1), ZERO, I)
+
+
+def test_full_report_memory_on_cl22():
+    # cl(2,2) (dim 16) is past SLICE_ABOVE; with whole sides the traced
+    # peak of its full_report, lazily built tensors included, was 1.89 MiB.
+    a = parse_algebra("cl(2,2)")
+    tracemalloc.start()
+    try:
+        report = full_report(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.all_passed
+    assert a.dim**3 > axioms.SLICE_ABOVE
+    assert peak <= 1 << 20

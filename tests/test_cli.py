@@ -1,4 +1,5 @@
 import io
+import sys
 import time
 
 import pytest
@@ -110,6 +111,27 @@ def test_eval_command(tmp_path):
     code, text = run("--format", "kv", "eval", "cl(1,0)", str(path))
     assert code == 0
     assert "entry  ->  = 0 + 1*z + 0*z^2 + 0*z^3" in text
+
+
+@pytest.mark.parametrize("fmt", ["text", "kv"])
+def test_eval_over_the_digit_limit_writes_nothing(tmp_path, capsys, fmt):
+    # R^30000 over cl(1,0) has an integer of more than 4300 digits, the
+    # limit Python puts on writing an int as text; the failure comes before
+    # any of the output is written, and is reported as one error line.
+    path = tmp_path / "big.rib"
+    path.write_text("R 30000\ncup\ncap\n")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, text = run("--format", fmt, "eval", "cl(1,0)", str(path))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 2 and text == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    # Python's own message names the limit: "Exceeds the limit (4300 digits)
+    # for integer string conversion ..." (3.10 omits the word "digits").
+    assert "Exceeds the limit (4300" in err
 
 
 def test_eval_missing_file():

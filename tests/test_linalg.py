@@ -16,6 +16,7 @@ from halftwist.linalg import (
     SingularMatrixError,
     delta,
     einsum,
+    einsum_slices,
     linear_solve,
     mat_invert,
     nullspace,
@@ -85,11 +86,21 @@ def test_package_specs_found():
 
 @pytest.mark.parametrize("spec", PACKAGE_SPECS)
 def test_planned_matches_left_to_right(spec):
+    # With an output letter, the slices along the first one are the same
+    # entries, in increasing order of that letter.
     rng = random.Random(spec)
-    idx_lists = spec.split("->")[0].split(",")
+    idx_lists, out_idx = spec.split("->")
+    idx_lists = idx_lists.split(",")
     for extent, density in ((2, 0.7), (3, 0.35)):
         tensors = [random_tensor(rng, len(s), extent, density) for s in idx_lists]
-        assert einsum(spec, *tensors) == left_to_right(spec, *tensors)
+        want = left_to_right(spec, *tensors)
+        assert einsum(spec, *tensors) == want
+        if out_idx:
+            slices = list(einsum_slices(spec, *tensors))
+            values = [value for value, _ in slices]
+            assert values == sorted(set(values))
+            assert all(k[0] == value for value, t in slices for k in t)
+            assert {k: v for _, t in slices for k, v in t.items()} == want
 
 
 def test_planner_ignores_operand_order():
@@ -398,6 +409,61 @@ def test_ceiling_stops_oversize_join_before_building(monkeypatch):
     with pytest.raises(ContractionTooLarge, match=rf"'ab,bc->ac'.*{n * n} terms"):
         einsum("ab,bc->ac", left, right)
 
+
+
+def test_slices_index_and_join_the_uncut_operands_once(monkeypatch):
+    # a4's right side on cl(2,2), cut into 16 slices of its first node.
+    # The join of fbg with gh carries no a, so it is formed once; it and
+    # the operands each slice is joined with are indexed once per call.
+    a = algebra("cl(2,2)")
+    spec = "ade,df,fbg,gh,ihc,ei->abc"
+    ops = (a.node, a.cup, a.node, a.cup, a.node, a.cup)
+    want = einsum(spec, *ops)
+    indexed, joins = [], []
+    index, join = linalg._index, linalg._join
+
+    def recording_index(t, key):
+        indexed.append(len(t))
+        return index(t, key)
+
+    def recording_join(*args):
+        joins.append((args[1], args[3], args[4]))
+        return join(*args)
+
+    monkeypatch.setattr(linalg, "_index", recording_index)
+    monkeypatch.setattr(linalg, "_join", recording_join)
+    slices = list(einsum_slices(spec, *ops))
+    assert [value for value, _ in slices] == list(range(16))
+    assert {k: v for _, t in slices for k, v in t.items()} == want
+    assert joins == [("fbg", "gh", None)]
+    # One index inside that join, one for each of the four joins a slice
+    # takes part in.
+    assert len(indexed) == 5
+
+
+def test_ceiling_stops_an_oversize_slice_before_building(monkeypatch):
+    # The plan is made on the first slice (one entry, 10 terms); the second
+    # slice would form 10 * 10 terms, over a ceiling of 50.
+    monkeypatch.setattr(linalg, "CELL_CEILING", 50)
+    left = {(0, 0): ONE, **{(1, b): ONE for b in range(10)}}
+    right = {(b, c): ONE for b in range(10) for c in range(10)}
+    slices = einsum_slices("ab,bc->ac", left, right)
+    value, first = next(slices)
+    assert value == 0 and first == {(0, c): ONE for c in range(10)}
+
+    def no_probe(*args):
+        raise AssertionError("an oversize slice was built")
+
+    monkeypatch.setattr(linalg, "_probe", no_probe)
+    with pytest.raises(ContractionTooLarge, match=r"'ab,bc->ac'.* 100 terms"):
+        next(slices)
+
+
+def test_slices_need_an_output_letter():
+    t = {(0,): ONE}
+    with pytest.raises(ValueError, match="no output letter"):
+        list(einsum_slices("a,a->", t, t))
+    assert list(einsum_slices("a,ab->b", {(0,): ONE}, {})) == []
 
 
 def test_tensors_differ_reports_the_smallest_differing_index():
