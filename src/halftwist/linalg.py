@@ -11,11 +11,10 @@ the spec: at each step every pair of remaining operands competes on the exact
 number of terms its join forms, the sum over shared-index keys of
 |bucket_1| * |bucket_2|, or |t1| * |t2| for an outer product.  The fewest
 terms win; an outer product loses a tie to a join over shared letters, and
-remaining ties go to the leftmost pair.  Within one call each operand's keys
-on a letter set are counted once, and each pair's count is kept until one of
-the two is joined.  The plan depends on the operands' letters and entries
-alone, so an identity can be written exactly as its equation reads and still
-be contracted cheaply.  Each distinct spec is split and validated once.  Before each join the term count is checked against
+remaining ties go to the leftmost pair.  The plan depends on the operands'
+letters and entries alone, so an identity can be written exactly as its
+equation reads and still be contracted cheaply.  Each distinct spec is split
+and validated once.  Before each join the term count is checked against
 CELL_CEILING, the same ceiling ribbon.evaluate puts on its boundary tables; a
 join over it raises ContractionTooLarge before any of it is built.  When two
 operands remain there is nothing to choose, so their terms are counted only
@@ -33,9 +32,10 @@ einsum_slices() yields the same contraction one value of its first output
 letter at a time, in increasing order, so that a caller comparing two sides
 holds one slice of each at once: about |result| / dim entries where einsum
 would build all of them.  Only the operand that carries the letter is cut.
-The joins are planned once per call, on the first slice, with each join that
-takes in the slice counting its terms once per slice, since every slice
-repeats it; the other slices replay that plan.  Each operand a slice is
+Both entry points share one planning loop: einsum runs it with nothing cut,
+einsum_slices on its first slice, with each join that takes in the slice
+counting its terms once per slice, since every slice repeats it; the other
+slices replay the joins that took in the slice.  Each operand a slice is
 joined with is indexed once per call, and a join between operands that do
 not carry the letter is formed once per call, so a slice costs only the
 work on its own entries.  This is the slicing of tensor-network contraction
@@ -64,7 +64,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cache
-from itertools import count
+from itertools import repeat
 from operator import itemgetter
 
 from .cyclo import CycloNum, ZERO, ONE
@@ -104,8 +104,8 @@ def einsum(spec: str, *tensors: SparseTensor) -> SparseTensor:
     operands and not in the output is summed.  A letter may not appear twice
     within one operand, a summed letter may not appear in more than two
     operands, and the output must list exactly the letters that appear in
-    one operand only.  Each distinct spec is split and validated once; only
-    the operand count is checked per call.
+    one operand only.  Each distinct spec and operand count is split and
+    validated once.
 
     The operands are joined two at a time, each time the pair whose join
     forms the fewest terms (the rule in the module docstring); the last join
@@ -113,21 +113,9 @@ def einsum(spec: str, *tensors: SparseTensor) -> SparseTensor:
     ContractionTooLarge, naming the spec and the term count, when a planned
     join would form more than CELL_CEILING terms.
     """
-    idx_lists, out_idx = _parse_spec(spec)
-    if len(idx_lists) != len(tensors):
-        raise ValueError(f"einsum spec {spec!r} expects {len(idx_lists)} operands")
-    # Each operand carries a serial and its own table of key counts by
-    # letter set; pair_terms holds each pair's count under both serials.
-    # Both go out of use when the operand is joined.
-    ops = [(t, idx, n, {}) for n, (t, idx) in enumerate(zip(tensors, idx_lists))]
-    pair_terms: dict = {}
-    serials = count(len(ops))
-    while len(ops) > 1:
-        i, j = _next_pair(spec, ops, pair_terms)
-        joined = _join(*ops[i][:2], *ops[j][:2], out_idx if len(ops) == 2 else None)
-        ops[i] = (*joined, next(serials), {})
-        del ops[j]
-    return _permuted(*ops[0][:2], out_idx)
+    idx_lists, out_idx = _parse_spec(spec, len(tensors))
+    ops = [(t, idx, False) for t, idx in zip(tensors, idx_lists)]
+    return _contract(spec, ops, out_idx)[0]
 
 
 def einsum_slices(spec: str, *tensors: SparseTensor):
@@ -144,12 +132,10 @@ def einsum_slices(spec: str, *tensors: SparseTensor):
     its terms could pass CELL_CEILING, and ContractionTooLarge is raised if
     they do.  A spec with no output letter raises ValueError.
     """
-    idx_lists, out_idx = _parse_spec(spec)
-    if len(idx_lists) != len(tensors):
-        raise ValueError(f"einsum spec {spec!r} expects {len(idx_lists)} operands")
+    idx_lists, out_idx = _parse_spec(spec, len(tensors))
     if not out_idx:
         raise ValueError(f"einsum spec {spec!r} has no output letter to slice")
-    cut = carrier = next(n for n, idx in enumerate(idx_lists) if out_idx[0] in idx)
+    cut = next(n for n, idx in enumerate(idx_lists) if out_idx[0] in idx)
     slice_key = itemgetter(idx_lists[cut].index(out_idx[0]))
     parts: dict = {}
     for k, v in tensors[cut].items():
@@ -157,34 +143,40 @@ def einsum_slices(spec: str, *tensors: SparseTensor):
     values = sorted(parts)
     if not values:
         return
-
-    # The first slice is contracted as einsum would, with every join that
-    # takes in the carrier's entries kept as a step that later slices repeat.
-    ops = [(t, idx, n, {}) for n, (t, idx) in enumerate(zip(tensors, idx_lists))]
-    ops[cut] = (parts.pop(values[0]), idx_lists[cut], cut, {})
-    pair_terms: dict = {}
-    serials = count(len(ops))
-    steps = []
-    while len(ops) > 1:
-        i, j = _next_pair(spec, ops, pair_terms, carrier, len(values))
-        (t1, i1, n1, _), (t2, i2, n2, _) = ops[i], ops[j]
-        last = out_idx if len(ops) == 2 else None
-        serial = next(serials)
-        if carrier in (n1, n2):
-            steps.append(_slice_step(spec, t1, i1, t2, i2, last, carrier == n1))
-            joined = steps[-1](t1 if carrier == n1 else t2)
-            carrier = serial
-        else:
-            joined = _join(t1, i1, t2, i2, last)
-        ops[i] = (*joined, serial, {})
-        del ops[j]
-    yield values[0], _permuted(*ops.pop()[:2], out_idx)
-
+    ops = [(t, idx, False) for t, idx in zip(tensors, idx_lists)]
+    ops[cut] = (parts.pop(values[0]), idx_lists[cut], True)
+    first, steps = _contract(spec, ops, out_idx, len(values))
+    yield values[0], first
     for value in values[1:]:
         cur, cur_idx = parts.pop(value), idx_lists[cut]
         for step in steps:
             cur, cur_idx = step(cur)
         yield value, _permuted(cur, cur_idx, out_idx)
+
+
+def _contract(spec: str, ops: list, out_idx: str, repeats: int = 1):
+    """The planning loop of einsum and einsum_slices.
+
+    ops lists each operand as (tensor, letters, sliced), where sliced marks
+    the one slice of einsum_slices' cut operand, or nothing for einsum.
+    Joins the pair _next_pair picks until one operand is left, and returns
+    (that operand over out_idx, steps): steps holds each join that took in
+    the slice, as a _slice_step that later slices replay in order; the
+    result of such a join is itself sliced.
+    """
+    steps = []
+    while len(ops) > 1:
+        i, j = _next_pair(spec, ops, repeats)
+        (t1, i1, s1), (t2, i2, s2) = ops[i], ops[j]
+        last = out_idx if len(ops) == 2 else None
+        if s1 or s2:
+            steps.append(_slice_step(spec, t1, i1, t2, i2, last, s1))
+            joined = steps[-1](t1 if s1 else t2)
+        else:
+            joined = _join(t1, i1, t2, i2, last)
+        ops[i] = (*joined, s1 or s2)
+        del ops[j]
+    return _permuted(*ops[0][:2], out_idx), steps
 
 
 def _slice_step(spec: str, t1, i1, t2, i2, out_idx, first: bool):
@@ -212,21 +204,21 @@ def _slice_step(spec: str, t1, i1, t2, i2, out_idx, first: bool):
     return step
 
 
-def _next_pair(spec: str, ops, pair_terms, carrier=None, repeats=1) -> tuple[int, int]:
+def _next_pair(spec: str, ops, repeats: int = 1) -> tuple[int, int]:
     """Positions of the pair of operands to join next, by the rule in the
-    module docstring.  A join that takes in the operand with serial carrier
-    is formed repeats times, so its terms count that many times in the
-    choice.  Two operands leave one pair, whose terms |t1| * |t2| bounds;
-    they are counted exactly only when there is a choice or the bound
-    passes the ceiling.  Raises ContractionTooLarge when the chosen join
-    would form more than CELL_CEILING terms."""
+    module docstring.  A join that takes in the sliced operand is formed
+    repeats times, so its terms count that many times in the choice.  Two
+    operands leave one pair, whose terms |t1| * |t2| bounds; they are
+    counted exactly only when there is a choice or the bound passes the
+    ceiling.  Raises ContractionTooLarge when the chosen join would form
+    more than CELL_CEILING terms."""
     if len(ops) == 2 and len(ops[0][0]) * len(ops[1][0]) <= CELL_CEILING:
         return 0, 1
     _, _, i, j, n_terms = min(
-        (n * (repeats if carrier in (ops[i][2], ops[j][2]) else 1), is_outer, i, j, n)
+        (n * (repeats if ops[i][2] or ops[j][2] else 1), is_outer, i, j, n)
         for i in range(len(ops))
         for j in range(i + 1, len(ops))
-        for n, is_outer in [_join_terms(ops[i], ops[j], pair_terms)]
+        for n, is_outer in [_join_terms(*ops[i][:2], *ops[j][:2])]
     )
     if n_terms > CELL_CEILING:
         raise _too_large(spec, n_terms)
@@ -249,8 +241,8 @@ def _permuted(t: SparseTensor, idx: str, out_idx: str) -> SparseTensor:
 
 
 @cache
-def _parse_spec(spec: str) -> tuple[tuple[str, ...], str]:
-    """Operand letters and output letters of a valid spec."""
+def _parse_spec(spec: str, n_operands: int) -> tuple[tuple[str, ...], str]:
+    """Operand letters and output letters of a valid spec of n_operands."""
     lhs, out_idx = spec.replace(" ", "").split("->")
     idx_lists = tuple(lhs.split(","))
     for s in idx_lists:
@@ -265,39 +257,22 @@ def _parse_spec(spec: str) -> tuple[tuple[str, ...], str]:
     free = "".join(c for c, n in uses.items() if n == 1)
     if sorted(free) != sorted(out_idx):
         raise ValueError(f"output letters {out_idx!r} do not match result {free!r}")
+    if len(idx_lists) != n_operands:
+        raise ValueError(f"einsum spec {spec!r} expects {len(idx_lists)} operands")
     return idx_lists, out_idx
 
 
-def _join_terms(op1, op2, pair_terms) -> tuple[int, bool]:
-    """(terms, is_outer) of joining two operands, each (tensor, letters,
-    serial, key counts).  terms is the exact number of products the join
-    forms: the sum over keys of the shared letters of |bucket_1| *
-    |bucket_2|, or |t1| * |t2| for an outer product.  An operand's keys on a
-    letter set are counted once, into its own key counts, and a pair's
-    result is kept in pair_terms under both serials."""
-    (t1, i1, n1, counts1), (t2, i2, n2, counts2) = op1, op2
-    pair = pair_terms.get((n1, n2))
-    if pair is None:
-        common, key1, key2 = _join_layout(i1, i2, None)[:3]
-        if common:
-            c1 = _key_counts(counts1, common, key1, t1)
-            c2 = _key_counts(counts2, common, key2, t2)
-            if len(c1) > len(c2):
-                c1, c2 = c2, c1
-            pair = sum(n * c2[k] for k, n in c1.items()), False
-        else:
-            pair = len(t1) * len(t2), True
-        pair_terms[n1, n2] = pair
-    return pair
-
-
-def _key_counts(counts: dict, common: str, key, t) -> Counter:
-    """How many entries of t fall on each key of the letters common, counted
-    on first use and kept in counts, the operand's own table."""
-    c = counts.get(common)
-    if c is None:
-        c = counts[common] = Counter(map(key, t))
-    return c
+def _join_terms(t1, i1, t2, i2) -> tuple[int, bool]:
+    """(terms, is_outer) of joining t1, over letters i1, with t2, over i2.
+    terms is the exact number of products the join forms: the sum over keys
+    of the shared letters of |bucket_1| * |bucket_2|, or |t1| * |t2| for an
+    outer product.  It is counted as the size of t2's bucket on each of
+    t1's keys, summed over t1's entries."""
+    common, key1, key2 = _join_layout(i1, i2, None)[:3]
+    if not common:
+        return len(t1) * len(t2), True
+    bucket_sizes = Counter(map(key2, t2))
+    return sum(map(bucket_sizes.get, map(key1, t1), repeat(0))), False
 
 
 @cache
