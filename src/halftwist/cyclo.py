@@ -411,12 +411,15 @@ I = CycloNum(0, 0, 1)
 SQRT2 = CycloNum(0, 1, 0, -1)
 
 
+# zeta^0 .. zeta^7: the basis monomials, then their negatives (zeta^4 = -1).
+_ZETA_POWERS = tuple(
+    CycloNum(*(sign * (i == k) for i in range(4))) for sign in (1, -1) for k in range(4)
+)
+
+
 def zeta_pow(k: int) -> CycloNum:
-    """zeta^k for any integer k (zeta has order 8)."""
-    k %= 8
-    c = [0] * 4
-    c[k % 4] = 1 if k < 4 else -1
-    return CycloNum(*c)
+    """zeta^k for any integer k (zeta has order 8), one of eight shared constants."""
+    return _ZETA_POWERS[k % 8]
 
 
 def rational_sqrt(x: Fraction) -> Fraction | None:

@@ -16,18 +16,21 @@ crosscap values odd.  The normalized Gauss sum
 is an eighth root of unity that classifies enhancements up to equivalence.
 `abk` computes it exactly by brute force, which gives the package an oracle
 for the closed-surface state sums that is independent of any tensor
-contraction.  Up to rank BRUTE_FORCE_RANK_CAP it visits every class by
-doubling over the basis: the values of q on the classes below 2^k are one
-byte each, and the classes v + e_k are one `bytes.translate` of them.  A
-basis vector that pairs with no earlier one (every crosscap, and every
-torus x-cycle of the standard basis) costs that one C-level pass alone.
-Any other carries the pairing <v, e_k> in from a parity pattern doubled the
-same way, which adds a pass of the pattern's doubling and an int round trip
-over the table.  At the cap the table is 1 MiB; tracemalloc puts the peak
-at 2 MiB when the last basis vector pairs with nothing below it and 3 MiB
-when it does, against 8 MiB of pointers for a list of ints.  It reads the
-form only through `basis_values` and `pairing`, never through a closed
-form.
+contraction.  Up to rank BRUTE_FORCE_RANK_CAP it determines q on every class
+by doubling over the basis: the values of q on the classes below 2^k are one
+byte each, and the classes v + e_k are pieces of that table, each shifted by
+a constant in Z/4.  A basis vector that pairs with no earlier one (every
+crosscap, and every torus x-cycle of the standard basis) gives one piece,
+the whole table shifted by q(e_k).  One that pairs only with the vector just
+below it (every torus y-cycle) gives two, its halves shifted by q(e_k) and
+q(e_k) + 2.  Each is one C-level `bytes.translate`.  Any other carries the
+pairing <v, e_k> in from a parity pattern doubled the same way, which adds a
+pass of the pattern's doubling and an int round trip over the table.  The
+last level is never built: its pieces are counted with their shifts, and the
+lower half's counts are theirs when they cut it.  At the cap the table is
+512 KiB and tracemalloc puts the peak of a standard presentation at 1 MiB,
+against 8 MiB of pointers for a list of ints.  It reads the form only
+through `basis_values` and `pairing`, never through a closed form.
 """
 
 from __future__ import annotations
@@ -153,36 +156,73 @@ def abk(p: PinSurfacePresentation) -> CycloNum:
 
         q(v + e_k) = q(v) + q(e_k) + 2 <v, e_k>   (mod 4)
 
-    as one `bytes.translate` of the lower half.  Row k of the form,
-    <e_j, e_k> for j < k, is read once.  When it is all zero the pairing
-    term vanishes and the translate alone extends the table.  Otherwise the
-    pairing bit <v, e_k> is a parity pattern over the lower bits, doubled
-    the same way and carried into the translate as bit 2 of each byte,
-    through one int round trip of the table.  The form is read only through
+    as pieces of the lower half, each shifted by a constant in Z/4 (see
+    `_upper_half`).  Every level but the last appends its pieces, each one
+    `bytes.translate`.  The last level is tallied, never built: the counts
+    of each piece, with value v moved to v + shift, are added to those of
+    the lower half, and when the pieces cut the lower half those counts are
+    theirs, so each byte is counted once.  The form is read only through
     `basis_values` and `pairing(j, k)` for j < k, once per pair, and each
-    class is still visited; at the rank cap the table is 1 MiB, and the
-    peak 2 MiB (3 MiB when the last row is not zero).
+    class's q is still determined.  At the rank cap the table is 512 KiB,
+    and the tracemalloc peak of a standard presentation 1 MiB.
     """
     r = p.rank
     if r > BRUTE_FORCE_RANK_CAP:
         raise ValueError(f"rank {r} exceeds the brute-force cap {BRUTE_FORCE_RANK_CAP}")
     basis = p.basis_values()
     q = b"\0"
-    for k in range(r):
-        row = [p.pairing(j, k) for j in range(k)]
-        step = _STEP[basis[k] & 3]
-        if not any(row):
-            q += q.translate(step)
-            continue
-        parity = b"\0"
-        for bit in row:
-            parity += parity.translate(_FLIP) if bit else parity
-        carried = int.from_bytes(q, "little") | int.from_bytes(parity, "little")
-        q += carried.to_bytes(len(q), "little").translate(step)
-    n0, n1, n2 = q.count(0), q.count(1), q.count(2)
-    n3 = len(q) - n0 - n1 - n2
+    for k in range(r - 1):
+        # q holds only 0-3, so a piece with shift 0 is appended as it is.
+        q += b"".join(
+            table[start:end].translate(_STEP[shift]) if shift else table[start:end]
+            for table, start, end, shift in _upper_half(p, q, k, basis[k])
+        )
+    # n[v] counts the classes with q = v.  Pieces that cut q carry its own
+    # counts; a carried piece does not, so q is then counted on its own.
+    n = [0, 0, 0, 0]
+    pieces = _upper_half(p, q, r - 1, basis[-1]) if r else []
+    for table, start, end, shift in pieces:
+        for v, count in enumerate(_counts(table, start, end)):
+            n[(v + shift) & 3] += count
+            if table is q:
+                n[v] += count
+    if not pieces or pieces[0][0] is not q:
+        n = [a + b for a, b in zip(n, _counts(q, 0, len(q)))]
+    return CycloNum(n[0] - n[2], 0, n[1] - n[3]) / SQRT2**r
 
-    return CycloNum(n0 - n2, 0, n1 - n3) / SQRT2**r
+
+def _upper_half(p: PinSurfacePresentation, q: bytes, k: int, qk: int) -> list:
+    """The classes v + e_k, v < 2^k, as pieces (table, start, end, shift):
+    q(v + e_k) = table[i] + shift (mod 4) for the classes of table[start:end]
+    in order.
+
+    Row k of the form, <e_j, e_k> for j < k, is read once.  A zero row
+    gives one piece, all of q shifted by q(e_k).  A row whose one nonzero
+    entry is <e_{k-1}, e_k> (every torus y-cycle of the standard basis)
+    makes <v, e_k> bit k - 1 of v: two pieces, the halves of q shifted by
+    q(e_k) and q(e_k) + 2.  Any other row carries the pairing bit <v, e_k>
+    in from a parity pattern over the lower bits, doubled the same way and
+    set as bit 2 of each byte through one int round trip of q, and gives
+    one piece already translated.
+    """
+    row = [p.pairing(j, k) for j in range(k)]
+    qk &= 3
+    if not any(row):
+        return [(q, 0, len(q), qk)]
+    if row[-1] and not any(row[:-1]):
+        half = len(q) // 2
+        return [(q, 0, half, qk), (q, half, len(q), (qk + 2) & 3)]
+    parity = b"\0"
+    for bit in row:
+        parity += parity.translate(_FLIP) if bit else parity
+    carried = int.from_bytes(q, "little") | int.from_bytes(parity, "little")
+    return [(carried.to_bytes(len(q), "little").translate(_STEP[qk]), 0, len(q), 0)]
+
+
+def _counts(table: bytes, start: int, end: int) -> tuple[int, int, int, int]:
+    """How many bytes of table[start:end] hold 0, 1, 2 and 3."""
+    n0, n1, n2 = (table.count(v, start, end) for v in range(3))
+    return n0, n1, n2, end - start - n0 - n1 - n2
 
 
 def are_equivalent(p1: PinSurfacePresentation, p2: PinSurfacePresentation) -> bool:
@@ -229,16 +269,26 @@ def parse_presentation(text: str) -> PinSurfacePresentation:
     torus_q = []
     if torus_part.strip():
         for pair in torus_part.split(";"):
-            vals = [v for v in pair.split(",") if v.strip()]
+            vals = _entry_values(text, pair)
             if len(vals) != 2:
                 raise ValueError(f"torus entry {pair!r} needs two values")
-            torus_q.append((int(vals[0]), int(vals[1])))
-    crosscap_q = [int(v) for v in cross_part.split(",") if v.strip()]
+            torus_q.append(tuple(vals))
+    crosscap_q = _entry_values(text, cross_part)
     if len(torus_q) != g:
         raise ValueError(f"expected {g} torus pairs, found {len(torus_q)}")
     if len(crosscap_q) != c:
         raise ValueError(f"expected {c} crosscap values, found {len(crosscap_q)}")
     return PinSurfacePresentation(tuple(torus_q), tuple(crosscap_q))
+
+
+def _entry_values(text: str, entry: str) -> list[int]:
+    """The comma-separated ints of one entry of a literal; none if it is blank."""
+    if not entry.strip():
+        return []
+    vals = entry.split(",")
+    if not all(v.strip() for v in vals):
+        raise ValueError(f"empty value in entry {entry!r} of {text!r}")
+    return [int(v) for v in vals]
 
 
 def render_presentation(p: PinSurfacePresentation) -> str:

@@ -102,6 +102,16 @@ def test_abk_over_the_cap_exits_two(capsys):
     assert err == "error: rank 21 exceeds the brute-force cap 20\n"
 
 
+@pytest.mark.parametrize("command", ["abk", "partition"])
+@pytest.mark.parametrize("literal", ["g=0,c=2,q=[|1,,3]", "g=1,c=0,q=[,0,2|]", "g=1,c=1,q=[0,2|1,]"])
+def test_empty_value_in_a_literal_exits_two(command, literal, capsys):
+    argv = (command, literal) if command == "abk" else (command, "cl(1,0)", literal)
+    code, text = run(*argv)
+    assert code == 2 and text == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: empty value in entry ") and literal in err
+
+
 def test_eval_command(tmp_path):
     path = tmp_path / "rp2.rib"
     path.write_text("R 1 / cup / id t+ / cap\n")

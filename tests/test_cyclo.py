@@ -34,6 +34,12 @@ def test_defining_relations():
     assert zeta_pow(4) == -ONE
 
 
+def test_zeta_pow_is_a_shared_power_of_zeta():
+    for k in range(-16, 17):
+        assert zeta_pow(k) == ZETA ** (k % 8), k
+        assert zeta_pow(k) is zeta_pow(k + 8)
+
+
 def test_division_example():
     # (1 + i) / sqrt(2) is the primitive eighth root itself.
     assert (ONE + I) / SQRT2 == ZETA

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -183,6 +184,18 @@ class LastMeetsTwo(PinSurfacePresentation):
         return super().pairing(i, j)
 
 
+class MiddleRowsMeetEarlier(PinSurfacePresentation):
+    """The standard form plus intersections of basis vector 2 with vector 0,
+    and of vector 3 with vectors 0 and 2.  Row 2 then has one entry that is
+    not the one just below it, and row 3 has two; at rank 5 or more neither
+    is the last row."""
+
+    def pairing(self, i, j):
+        if self.rank >= 5 and {i, j} in ({0, 2}, {0, 3}, {2, 3}):
+            return 1
+        return super().pairing(i, j)
+
+
 def direct_gauss_sum(p):
     """Sum i^q(x) over the bit vectors x, each evaluated on its own by q_eval."""
     powers = (ONE, I, -ONE, -I)
@@ -221,6 +234,43 @@ def test_abk_takes_the_pairing_path_for_a_row_with_two_entries():
         assert value == direct_gauss_sum(linked), p
         changed += value != abk(p)
     assert changed
+
+
+def test_abk_carries_the_pairing_below_the_last_level():
+    # Row 3 meets two earlier vectors, so the walk carries the pairing in
+    # before the last level; row 2 meets only vector 0, so it may not be
+    # split in halves as a torus y-cycle is.
+    changed = 0
+    for p in all_presentations(7):
+        if p.rank < 5:
+            continue
+        linked = MiddleRowsMeetEarlier(p.torus_q, p.crosscap_q)
+        value = abk(linked)
+        assert value == direct_gauss_sum(linked), p
+        changed += value != abk(p)
+    assert changed
+
+
+@pytest.mark.parametrize(
+    "literal",
+    [
+        "g=6,c=8,q=[2,2;0,2;2,2;2,0;0,0;2,2|1,3,3,1,1,1,3,1]",
+        "g=10,c=0,q=[2,2;0,2;2,2;2,0;0,0;2,2;0,0;2,0;0,2;2,2|]",
+    ],
+)
+def test_abk_memory_at_the_rank_cap(literal):
+    # The last level is tallied, not built, so the largest table is 512 KiB;
+    # building the whole 1 MiB table traced 2.0 and 3.03 MiB here.
+    p = parse_presentation(literal)
+    tracemalloc.start()
+    try:
+        value = abk(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert p.rank == 20
+    assert value == closed_form_abk(p)
+    assert peak <= 1.5 * (1 << 20)
 
 
 @pytest.mark.parametrize("rank", range(11, 21))
@@ -275,3 +325,17 @@ def test_presentation_literal_round_trip(literal):
 def test_presentation_literal_rejects(bad):
     with pytest.raises(ValueError):
         parse_presentation(bad)
+
+
+@pytest.mark.parametrize(
+    "literal, entry",
+    [
+        ("g=0,c=2,q=[|1,,3]", "1,,3"),
+        ("g=1,c=0,q=[,0,2|]", ",0,2"),
+        ("g=1,c=1,q=[0,2|1,]", "1,"),
+    ],
+)
+def test_presentation_literal_rejects_empty_values(literal, entry):
+    with pytest.raises(ValueError) as info:
+        parse_presentation(literal)
+    assert str(info.value) == f"empty value in entry {entry!r} of {literal!r}"
