@@ -282,13 +282,23 @@ def parse_presentation(text: str) -> PinSurfacePresentation:
 
 
 def _entry_values(text: str, entry: str) -> list[int]:
-    """The comma-separated ints of one entry of a literal; none if it is blank."""
+    """The comma-separated ints of one entry of a literal; none if it is blank.
+    An empty or non-integer value raises ValueError naming it, the entry and
+    the literal."""
     if not entry.strip():
         return []
     vals = entry.split(",")
     if not all(v.strip() for v in vals):
         raise ValueError(f"empty value in entry {entry!r} of {text!r}")
-    return [int(v) for v in vals]
+    out = []
+    for v in vals:
+        try:
+            out.append(int(v))
+        except ValueError:
+            raise ValueError(
+                f"non-integer value {v!r} in entry {entry!r} of {text!r}"
+            ) from None
+    return out
 
 
 def render_presentation(p: PinSurfacePresentation) -> str:

@@ -36,7 +36,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice
-from math import prod
+from operator import add
 
 from .cyclo import CycloNum, ZERO, ONE, SQRT2, zeta_pow
 from .linalg import (
@@ -51,6 +51,8 @@ from .linalg import (
 )
 
 MAX_CLIFFORD_GENERATORS = 8  # every generator counts, the I of clc(n) included
+# (-1)^s for a sign bit s, shared by every table that holds a sign.
+_SIGNS = (ONE, -ONE)
 
 __all__ = [
     "HalfTwistAlgebra",
@@ -132,7 +134,10 @@ class HalfTwistAlgebra:
         """The unit R sum_ab B^ab e_a e_b, the state sum of a disk.
 
         Raises ValueError when it is not a two-sided unit, which happens
-        exactly when the algebra is not special (axiom a4).
+        exactly when the algebra is not special (axiom a4).  Only a checked
+        vector is cached, and each call returns a fresh element of it: an
+        algebra that held one of its own elements would be a reference
+        cycle, left for the garbage collector to free.
         """
         if "unit" not in self._cache:
             product = self.product_tensor()
@@ -143,8 +148,8 @@ class HalfTwistAlgebra:
                     "R sum_ab B^ab e_a e_b is not a two-sided unit: the algebra "
                     "is not special (a4)"
                 )
-            self._cache["unit"] = AlgebraElement(self, u)
-        return self._cache["unit"]  # type: ignore[return-value]
+            self._cache["unit"] = u
+        return AlgebraElement(self, self._cache["unit"])  # type: ignore[arg-type]
 
     def counit(self, x: "AlgebraElement") -> CycloNum:
         return self.eta(self.unit(), x)
@@ -183,9 +188,8 @@ class HalfTwistAlgebra:
         parity, crossing = self.parity, self.crossing
         if len(crossing) != len(parity) ** 2:
             return False
-        minus_one = -ONE
         return all(
-            crossing.get((a, b, b, a)) == (minus_one if pa and pb else ONE)
+            crossing.get((a, b, b, a)) == _SIGNS[pa & pb]
             for a, pa in enumerate(parity)
             for b, pb in enumerate(parity)
         )
@@ -273,12 +277,11 @@ class AlgebraElement:
 
 
 def _swap_crossing(parity: tuple[int, ...]) -> SparseTensor:
-    out: SparseTensor = {}
-    minus_one = CycloNum(-1)
-    for a, pa in enumerate(parity):
-        for b, pb in enumerate(parity):
-            out[(a, b, b, a)] = minus_one if pa and pb else ONE
-    return out
+    return {
+        (a, b, b, a): _SIGNS[pa & pb]
+        for a, pa in enumerate(parity)
+        for b, pb in enumerate(parity)
+    }
 
 
 def _check_size(dim: int, spec: str) -> None:
@@ -300,29 +303,6 @@ def _check_alpha(alpha) -> CycloNum:
     return alpha
 
 
-def _monomial_sign(s: int, t: int) -> int:
-    """Sign of the product of two generator monomials given as bit masks.
-
-    Bit k stands for the generator with index n-k, so numerically smaller
-    masks come earlier in the lexicographic basis order.  Moving each
-    generator of t into place crosses every generator of s with a strictly
-    larger index, i.e. every set bit of s strictly below it.
-    """
-    total = 0
-    tt = t
-    while tt:
-        low = tt & -tt
-        total += (s & (low - 1)).bit_count()
-        tt ^= low
-    return -1 if total & 1 else 1
-
-
-def _self_sign(mask: int) -> int:
-    """Sign from reversing a monomial: (-1)^(k(k-1)/2) for k generators."""
-    k = mask.bit_count()
-    return -1 if (k * (k - 1) // 2) & 1 else 1
-
-
 def _clifford(
     gens, scale_exp: int, weight_exp: int, alpha: CycloNum, spec: str
 ) -> HalfTwistAlgebra:
@@ -335,55 +315,64 @@ def _clifford(
     index.  The trace form is alpha * sqrt(2)^scale_exp on the unit and
     every internal vertex weighs alpha * sqrt(2)^weight_exp.  gens is read
     lazily, so a spec past the cap is refused before anything is built.
+
+    The tables of the monomials double once per generator, from the last
+    one up: for m below bit, monomial m + bit is g m, where g is the
+    generator at bit and comes before every generator of m.  The product of
+    monomials a and b is +-(a ^ b), and the node entry (a, b, a ^ b) is the
+    cap value of a ^ b, negated when b & flip[a] has an odd number of bits.
+    The mask flip[a] is linear in a over GF(2): the odd generator at bit i
+    of a is crossed by each odd generator of b at a higher bit, which comes
+    earlier in the product, and a generator that squares to -1 flips the
+    sign when b holds it too.
     """
     gens = tuple(islice(gens, MAX_CLIFFORD_GENERATORS + 1))
     if len(gens) > MAX_CLIFFORD_GENERATORS:
         raise ValueError(f"{spec} has more than {MAX_CLIFFORD_GENERATORS} generators")
     n = len(gens)
     dim = 1 << n
-    by_bit = {1 << (n - 1 - j): g for j, g in enumerate(gens)}
+    odd = sum(1 << (n - 1 - j) for j, g in enumerate(gens) if g[1])
+    # star_sign[m] is the bit s of the star sign (-1)^s; reversing k odd
+    # generators gives (-1)^(k(k-1)/2), so g odd adds the parity of m.
+    labels, phase, star_sign, parity, flip = [""], [0], [0], [0], [0]
+    for i, (label, g_odd, square, g_phase, g_star) in enumerate(reversed(gens)):
+        bit = 1 << i
+        row = (odd & -(bit << 1) if g_odd else 0) | (bit if square < 0 else 0)
+        labels += [label + l for l in labels]
+        phase += [p + g_phase for p in phase]
+        star_sign += [s ^ (p & g_odd) ^ (g_star < 0) for s, p in zip(star_sign, parity)]
+        parity += [p ^ g_odd for p in parity]
+        flip += [f ^ row for f in flip]
+    labels[0] = "1"
 
-    def bits(field: int, value) -> int:
-        return sum(bit for bit, g in by_bit.items() if g[field] == value)
-
-    odd, negative = bits(1, True), bits(2, -1)
-
-    # Every cap and node entry is +-form and every cup entry +-1/form.
+    # Every cap and node entry is +-form and every cup entry +-1/form;
+    # signed[t][c] is the cap value of e_c, negated when t is 1.
     form = alpha * SQRT2 ** scale_exp
     form_inv = form.inverse()
-    cap_of, cup_of = {1: form, -1: -form}, {1: form_inv, -1: -form_inv}
-
-    labels, star_sign, twist = [], [], {}
-    for m in range(dim):
-        members = [g for bit, g in by_bit.items() if m & bit]
-        labels.append("".join(g[0] for g in members) or "1")
-        star_sign.append(_self_sign(m & odd) * prod(g[4] for g in members))
-        twist[(m, m)] = zeta_pow(sum(g[3] for g in members))
-    parity = tuple((m & odd).bit_count() & 1 for m in range(dim))
-
-    node: SparseTensor = {}
-    for a in range(dim):
-        for b in range(dim):
-            c = a ^ b
-            sign = _monomial_sign(a & odd, b & odd) * star_sign[c]
-            if (a & b & negative).bit_count() & 1:
-                sign = -sign
-            node[(a, b, c)] = cap_of[sign]
+    cap_of, cup_of = (form, -form), (form_inv, -form_inv)
+    signed = tuple([cap_of[s ^ t] for s in star_sign] for t in (0, 1))
+    popcount_parity = [m.bit_count() & 1 for m in range(dim)]
+    node = {
+        (a, b, c): signed[popcount_parity[b & f]][c]
+        for a, f in enumerate(flip)
+        for b in range(dim)
+        for c in (a ^ b,)
+    }
 
     return HalfTwistAlgebra(
         dim=dim,
         labels=tuple(labels),
-        parity=parity,
+        parity=tuple(parity),
         node=node,
         cap={(m, m): cap_of[s] for m, s in enumerate(star_sign)},
         cup={(m, m): cup_of[s] for m, s in enumerate(star_sign)},
         crossing=_swap_crossing(parity),
-        twist=twist,
+        twist={(m, m): zeta_pow(p) for m, p in enumerate(phase)},
         vertex_weight=alpha * SQRT2 ** weight_exp,
         alpha=alpha,
-        star={(m, m): CycloNum(s) for m, s in enumerate(star_sign)},
+        star={(m, m): _SIGNS[s] for m, s in enumerate(star_sign)},
         spec=spec,
-        generators=tuple(sorted(by_bit)),
+        generators=tuple(1 << i for i in range(n)),
     )
 
 
@@ -574,12 +563,20 @@ def supertensor(a: HalfTwistAlgebra, b: HalfTwistAlgebra) -> HalfTwistAlgebra:
     pa, pb = a.parity, b.parity
 
     def kron(ta: SparseTensor, tb: SparseTensor, odd) -> SparseTensor:
-        """va * vb at each combined index, negated where odd(ka, kb) is set."""
+        """va * vb at each combined index, negated where odd(ka, kb) is 1.
+        Each distinct pair of values is multiplied once."""
         out: SparseTensor = {}
+        # products[va][vb] is (va * vb, -va * vb), keyed by canonical ints.
+        products: dict[tuple, dict[tuple, tuple[CycloNum, CycloNum]]] = {}
         for ka, va in ta.items():
+            base = tuple(x * db for x in ka)
+            row = products.setdefault(va._v, {})
             for kb, vb in tb.items():
-                v = va * vb
-                out[tuple(x * db + i for x, i in zip(ka, kb))] = -v if odd(ka, kb) else v
+                pair = row.get(vb._v)
+                if pair is None:
+                    v = va * vb
+                    pair = row[vb._v] = (v, -v)
+                out[tuple(map(add, base, kb))] = pair[odd(ka, kb)]
         return out
 
     def form_sign(ka, kb):

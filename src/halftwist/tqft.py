@@ -21,14 +21,19 @@ and every value can be cross-checked against the Gauss-sum oracle in pingeo.
 A torus is the trace over the circle state space V_e of its first cycle,
 twisted by the parity when the second cycle is R: Z(e, NS) = dim V_e and
 Z(e, R) = sdim V_e = dim V_e^even - dim V_e^odd.  The projector onto V_e is
-the state-sum cylinder map, and a handle state caps off its trace.  All of
-this is built from the state-sum tensors alone: nothing here needs a star
-structure or a positive alpha.
+the state-sum cylinder map, and a handle state caps off its trace.  A
+connect sum multiplies the handle states of its tori and the Moebius states
+of its crosscaps, starting from the first factor, and closes the product
+with the counit; the unit enters only through the counit and as the empty
+product, the sphere.  All of this is built from the state-sum tensors alone:
+nothing here needs a star structure or a positive alpha.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import mul
 
 from .cyclo import CycloNum, ZERO, zeta_pow, real_sqrt
 from .linalg import SparseTensor, einsum, nullspace, row_reduce, scale
@@ -265,20 +270,19 @@ def connect_sum_pf(a: HalfTwistAlgebra, p: PinSurfacePresentation) -> CycloNum:
     Each torus contributes its handle state, with q = 0 an NS cycle and
     q = 2 an R cycle, and each crosscap its Moebius state; the partition
     function is the vertex weight times the counit of their product, tori
-    first.  Each distinct handle and Moebius state is built once.  The empty
+    first.  The product starts from the first factor, so n factors take
+    n - 1 element products.  Each distinct handle and Moebius state is
+    built once.  The unit enters through the counit, which raises when the
+    algebra is not special, and as the product of no factors: the empty
     connect sum is the sphere.
     """
-    element = a.unit()
-    handles: dict[tuple[int, int], AlgebraElement] = {}
-    for q in p.torus_q:
-        if q not in handles:
-            handles[q] = handle_state(a, SECTORS[q[0] // 2], SECTORS[q[1] // 2])
-        element = element * handles[q]
-    moebius: dict[int, AlgebraElement] = {}
-    for qz in p.crosscap_q:
-        if qz not in moebius:
-            moebius[qz] = moebius_state(a, qz)
-        element = element * moebius[qz]
+    handles = {
+        q: handle_state(a, SECTORS[q[0] // 2], SECTORS[q[1] // 2])
+        for q in dict.fromkeys(p.torus_q)
+    }
+    moebius = {qz: moebius_state(a, qz) for qz in dict.fromkeys(p.crosscap_q)}
+    factors = [handles[q] for q in p.torus_q] + [moebius[qz] for qz in p.crosscap_q]
+    element = reduce(mul, factors) if factors else a.unit()
     return a.vertex_weight * a.counit(element)
 
 

@@ -112,6 +112,15 @@ def test_empty_value_in_a_literal_exits_two(command, literal, capsys):
     assert err.startswith("error: empty value in entry ") and literal in err
 
 
+@pytest.mark.parametrize("literal", ["g=0,c=2,q=[|1;3]", "g=0,c=2,q=[|x]"])
+def test_non_integer_value_in_a_literal_exits_two(literal, capsys):
+    code, text = run("partition", "cl(1,0)", literal)
+    assert code == 2 and text == ""
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.endswith(f" of {literal!r}\n")
+    assert err.startswith("error: non-integer value ")
+
+
 def test_eval_command(tmp_path):
     path = tmp_path / "rp2.rib"
     path.write_text("R 1 / cup / id t+ / cap\n")

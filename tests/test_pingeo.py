@@ -339,3 +339,17 @@ def test_presentation_literal_rejects_empty_values(literal, entry):
     with pytest.raises(ValueError) as info:
         parse_presentation(literal)
     assert str(info.value) == f"empty value in entry {entry!r} of {literal!r}"
+
+
+@pytest.mark.parametrize(
+    "literal, value, entry",
+    [
+        ("g=0,c=2,q=[|1;3]", "1;3", "1;3"),
+        ("g=0,c=2,q=[|x]", "x", "x"),
+        ("g=1,c=0,q=[0,2.0|]", "2.0", "0,2.0"),
+    ],
+)
+def test_presentation_literal_rejects_non_integer_values(literal, value, entry):
+    with pytest.raises(ValueError) as info:
+        parse_presentation(literal)
+    assert str(info.value) == f"non-integer value {value!r} in entry {entry!r} of {literal!r}"

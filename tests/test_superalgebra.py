@@ -2,11 +2,13 @@ import hashlib
 import random
 import re
 from fractions import Fraction
+from math import prod
 
 import pytest
 
 from halftwist import (
     CycloNum,
+    HalfTwistAlgebra,
     I,
     ONE,
     SQRT2,
@@ -20,10 +22,11 @@ from halftwist import (
     direct_sum,
     parse_algebra,
     supertensor,
+    zeta_pow,
 )
 from halftwist import superalgebra
 from halftwist.linalg import CELL_CEILING
-from conftest import algebra
+from conftest import AXIOM_SUITE_SPECS, algebra
 
 
 def test_clifford_1_0_tensors():
@@ -505,6 +508,204 @@ def test_constructor_output_is_pinned(spec):
         a = parse_algebra(spec, default_alpha=CycloNum.parse(alpha))
         h.update((algebra_to_text(a) + repr((a.spec, a.generators))).encode())
     assert h.hexdigest() == CONSTRUCTOR_DIGESTS[spec]
+
+
+# -- reference constructors ---------------------------------------------------
+# Oracles that work out each tensor entry on its own: one _monomial_sign call
+# per Clifford node entry and one multiplication per pair of kron entries.
+# The constructors read the Clifford signs off GF(2) masks and multiply each
+# distinct pair of kron values once.
+
+
+def _monomial_sign(s: int, t: int) -> int:
+    """Sign of the product of two generator monomials given as bit masks.
+
+    Bit k stands for the generator with index n-k, so numerically smaller
+    masks come earlier in the lexicographic basis order.  Moving each
+    generator of t into place crosses every generator of s with a strictly
+    larger index, i.e. every set bit of s strictly below it.
+    """
+    total = 0
+    tt = t
+    while tt:
+        low = tt & -tt
+        total += (s & (low - 1)).bit_count()
+        tt ^= low
+    return -1 if total & 1 else 1
+
+
+def _self_sign(mask: int) -> int:
+    """Sign from reversing a monomial: (-1)^(k(k-1)/2) for k generators."""
+    k = mask.bit_count()
+    return -1 if (k * (k - 1) // 2) & 1 else 1
+
+
+def _reference_swap(parity):
+    return {
+        (a, b, b, a): CycloNum(-1 if pa and pb else 1)
+        for a, pa in enumerate(parity)
+        for b, pb in enumerate(parity)
+    }
+
+
+def _reference_clifford(spec, alpha):
+    """cl(p,q) or clc(n) with one _monomial_sign call per node entry.
+
+    The generators are (label, odd, square, phase, star) as in the
+    constructors' docstrings: cl(p,q) has G_1..G_n odd, squaring to +1, with
+    half twist i for the first p and -i for the rest; clc(n) has G_1..G_n
+    with half twist i, then an even central I squaring to -1 with half
+    twist -1 and star sign -1.
+    """
+    counts = [int(x) for x in re.findall(r"\d+", spec)]
+    if spec.startswith("clc"):
+        (n,) = counts
+        gens = [(f"G{j + 1}", True, 1, 2, 1) for j in range(n)] + [("I", False, -1, 4, -1)]
+        scale_exp, weight_exp = n + 2, -n
+    else:
+        p, q = counts
+        n = p + q
+        gens = [(f"G{j + 1}", True, 1, 2 if j < p else 6, 1) for j in range(n)]
+        scale_exp, weight_exp = n, -n
+    dim = 1 << len(gens)
+    by_bit = {1 << (len(gens) - 1 - j): g for j, g in enumerate(gens)}
+    odd = sum(bit for bit, g in by_bit.items() if g[1])
+    negative = sum(bit for bit, g in by_bit.items() if g[2] == -1)
+    form = alpha * SQRT2 ** scale_exp
+    labels, star_sign, twist = [], [], {}
+    for m in range(dim):
+        members = [g for bit, g in by_bit.items() if m & bit]
+        labels.append("".join(g[0] for g in members) or "1")
+        star_sign.append(_self_sign(m & odd) * prod(g[4] for g in members))
+        twist[(m, m)] = zeta_pow(sum(g[3] for g in members))
+    parity = tuple((m & odd).bit_count() & 1 for m in range(dim))
+    node = {}
+    for a in range(dim):
+        for b in range(dim):
+            c = a ^ b
+            sign = _monomial_sign(a & odd, b & odd) * star_sign[c]
+            if (a & b & negative).bit_count() & 1:
+                sign = -sign
+            node[(a, b, c)] = sign * form
+    return HalfTwistAlgebra(
+        dim=dim,
+        labels=tuple(labels),
+        parity=parity,
+        node=node,
+        cap={(m, m): s * form for m, s in enumerate(star_sign)},
+        cup={(m, m): s * form.inverse() for m, s in enumerate(star_sign)},
+        crossing=_reference_swap(parity),
+        twist=twist,
+        vertex_weight=alpha * SQRT2 ** weight_exp,
+        alpha=alpha,
+        star={(m, m): CycloNum(s) for m, s in enumerate(star_sign)},
+        spec=spec,
+        generators=tuple(sorted(by_bit)),
+    )
+
+
+def _reference_supertensor(a, b):
+    """The graded product with one multiplication per pair of entries."""
+    db = b.dim
+    pa, pb = a.parity, b.parity
+
+    def kron(ta, tb, odd):
+        out = {}
+        for ka, va in ta.items():
+            for kb, vb in tb.items():
+                v = va * vb
+                out[tuple(x * db + i for x, i in zip(ka, kb))] = -v if odd(ka, kb) else v
+        return out
+
+    def form_sign(ka, kb):
+        return pb[kb[0]] & pa[ka[1]]
+
+    parity = tuple((u + v) & 1 for u in pa for v in pb)
+    gens = {g * db + i for g in a.generators for i in range(db)}
+    gens |= {x * db + g for x in range(a.dim) for g in b.generators}
+    return HalfTwistAlgebra(
+        dim=a.dim * db,
+        labels=tuple(f"{la}*{lb}" for la in a.labels for lb in b.labels),
+        parity=parity,
+        node=kron(
+            a.node,
+            b.node,
+            lambda ka, kb: (pb[kb[0]] & pa[ka[1]]) ^ ((pb[kb[0]] ^ pb[kb[1]]) & pa[ka[2]]),
+        ),
+        cap=kron(a.cap, b.cap, form_sign),
+        cup=kron(a.cup, b.cup, form_sign),
+        crossing=_reference_swap(parity),
+        twist=kron(a.twist, b.twist, lambda ka, kb: 0),
+        vertex_weight=a.vertex_weight * b.vertex_weight,
+        alpha=a.alpha * b.alpha,
+        star=kron(a.star, b.star, lambda ka, kb: pa[ka[0]] & pb[kb[0]]),
+        spec=f"{a.spec} (x) {b.spec}",
+        generators=tuple(sorted(gens)),
+    )
+
+
+def _assert_same_algebra(got, want):
+    # These fields determine algebra_to_text, whose bytes the digests pin.
+    for field in ("dim", "labels", "parity", "node", "cap", "cup", "crossing", "twist",
+                  "star", "vertex_weight", "alpha", "spec", "generators"):
+        assert getattr(got, field) == getattr(want, field), (want.spec, field)
+
+
+CLIFFORD_SPECS = tuple(
+    f"cl({p},{n - p})" for n in range(7) for p in range(n + 1)
+) + tuple(f"clc({n})" for n in range(5))
+
+
+@pytest.mark.parametrize("spec", CLIFFORD_SPECS)
+def test_clifford_matches_the_per_entry_signs(spec):
+    # A negative alpha flips the sign of the form, so it tests the signs too.
+    # CONSTRUCTOR_DIGESTS pins algebra_to_text of each of these specs.
+    alpha = CycloNum(Fraction(-1, 3))
+    _assert_same_algebra(parse_algebra(spec, alpha), _reference_clifford(spec, alpha))
+
+
+# sha256 of algebra_to_text plus (spec, generators) of x (x) y for every
+# acceptance atom y with a product of dim at most 32, in order, one digest
+# per atom x, written while kron formed one product per pair of entries.
+PRODUCT_DIGESTS = {
+    "cl(0,0)": "23f712bd92f419b4a7d469e975fc78f5c19aaa55bc71746e3acb67e35d469dc1",
+    "cl(0,1)": "6032d0691b9f46e1c91ea3088e8dbf2f5ebf480d3e3108702e081ab4f8874ff3",
+    "cl(0,2)": "89262eee3bf1858110484d673e3b6aad1972ec4b13d168785a2d951cf6f03cb4",
+    "cl(0,3)": "ba51ae128f09de9da75f7d4d177b1661c1595543c9ecee70cae833702b374b57",
+    "cl(0,4)": "e4f620d90ec51052e9c49357437da7c88a52847dd37ce676fe6895b3fb5b23cb",
+    "cl(1,0)": "78099a5e84acd6c30c11e840f1ed8a8274ce633f3095cbb8de8883b91220eaa9",
+    "cl(1,1)": "8bdcc3323e3f8364550fbbc745e54b3305b0dfb8efc8b776a97d9af11abc7d8a",
+    "cl(1,2)": "b8518f8bb7e9de07a09b7ce991fc9d557dd0b56fce9ba253a6063a2d4ccfb0ad",
+    "cl(1,3)": "bbc1bc107492e36882ae0a928bcd713b70e9946a1f90fdbfb19d30095c21e1e0",
+    "cl(2,0)": "4fa47682c802b8e44d6b1ef17cca53d298cceda89888f6a2f54e4c1822a6a9c8",
+    "cl(2,1)": "6a2d419c9e3b81b4313478cb6e9bf52a14f698950d743763cab05a356ca6c964",
+    "cl(2,2)": "dedbb0e23bc46799bf68f0e775b9d78f930a8f3e77d7654a5b33a99096085803",
+    "cl(3,0)": "435a2c5b5cd4a22327cabf8d856dc599de1adda26f0fe33abbd2bdccae7f3e33",
+    "cl(3,1)": "ad1cba807d7a0535630e9e1ee59bc98242752e947b91a8085fa95d3e42a6f075",
+    "cl(4,0)": "a13a1a3a004d4651e03e30308ef65591155c572d87dd59f9080532349af4a6fd",
+    "clc(0)": "0c0f506b81d16ff637ead4774e0d5d47f84ee240d715bdaba184eb9833d9f034",
+    "clc(1)": "150baa85840311b83e33bc317f85c02f1e196e807807c45c15af8bd478328cd5",
+    "clc(2)": "8258bf37617b104e0a8219f815d01974c64de5f11e7e91e4d9ca3aaa162b4cbd",
+    "mat(1|1)": "bafa61eaf014bca359548e7174ea2d59efe28f590c1090551acf8ba15e2f8f35",
+    "mat(2|0)": "3fed26c8e19a74d2f2579c92a294834a14d1cc139c73a00e20bb410b31f52e75",
+    "mat(2|1)": "c429fe06d35df451eecfc6910bccaec1f6d816245ff3cbf14853b57525056811",
+}
+
+
+def test_product_digests_cover_the_acceptance_atoms():
+    atoms = {atom for spec in AXIOM_SUITE_SPECS for atom in re.split(r" \((?:x|\+)\) ", spec)}
+    assert set(PRODUCT_DIGESTS) == atoms
+
+
+@pytest.mark.parametrize("x", sorted(PRODUCT_DIGESTS))
+def test_supertensor_matches_the_per_entry_kron(x):
+    h = hashlib.sha256()
+    for y in sorted(PRODUCT_DIGESTS):
+        if algebra(x).dim * algebra(y).dim <= 32:
+            a = parse_algebra(f"{x} (x) {y}")
+            _assert_same_algebra(a, _reference_supertensor(algebra(x), algebra(y)))
+            h.update((algebra_to_text(a) + repr((a.spec, a.generators))).encode())
+    assert h.hexdigest() == PRODUCT_DIGESTS[x]
 
 
 ELEMENT_SPECS = (

@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 from halftwist import (
@@ -11,11 +13,13 @@ from halftwist import (
     ZETA,
     abk,
     build_clifford_real,
+    check_axiom,
     classify_invertible,
     connect_sum_pf,
     custom_from_tensors,
     handle_state,
     moebius_state,
+    parse_algebra,
     parse_surface,
     partition_function,
     projector,
@@ -302,6 +306,58 @@ def test_connect_sum_builds_each_moebius_state_once(monkeypatch):
     z = connect_sum_pf(algebra("cl(1,0)"), p)
     assert calls == [1]
     assert z == abk(p)
+
+
+def test_connect_sum_forms_one_product_fewer_than_factors(monkeypatch):
+    from halftwist.superalgebra import AlgebraElement
+
+    calls = []
+    mul = AlgebraElement.__mul__
+    monkeypatch.setattr(AlgebraElement, "__mul__", lambda x, y: calls.append(y) or mul(x, y))
+    a = algebra("cl(1,0)")
+    for literal, products in (("klein:1,3", 1), ("g=2,c=1,q=[0,2;2,2|1]", 2), ("csum:1,3,3,1", 3)):
+        p = parse_surface(literal)
+        calls.clear()
+        assert connect_sum_pf(a, p) == abk(p), literal
+        assert len(calls) == products, literal
+    calls.clear()
+    sphere = PinSurfacePresentation((), ())
+    assert connect_sum_pf(a, sphere) == partition_function(a, sphere)
+    assert calls == []
+
+
+def test_connect_sum_still_needs_a_two_sided_unit():
+    # Doubling R leaves the algebra not special (a4 fails), so the counit,
+    # and with it every connect sum, is refused, and no unit is cached.
+    base = algebra("cl(1,0)")
+    a = custom_from_tensors(
+        base.node, base.cap, base.cup, base.crossing, base.twist,
+        CycloNum(2) * base.vertex_weight, base.parity,
+    )
+    assert not check_axiom(a, "a4").passed
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not a two-sided unit"):
+            partition_function(a, parse_surface("klein:1,1"))
+        assert "unit" not in a._cache
+
+
+@pytest.mark.parametrize(
+    "spec", ["cl(1,0)", "cl(2,2)", "cl(1,0) (x) mat(1|1)", "cl(1,0) (+) cl(0,1)"]
+)
+def test_an_algebra_and_its_results_are_freed_without_the_collector(spec):
+    # No algebra refers back to its own elements, so reference counting
+    # frees everything a command builds and the collector finds no cycle.
+    gc.collect()
+    gc.disable()
+    try:
+        a = parse_algebra(spec)
+        for literal in ("klein:1,3", "torus:r,r"):
+            partition_function(a, parse_surface(literal))
+        classify_invertible(a)
+        del a
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_klein_equals_two_crosscaps():
