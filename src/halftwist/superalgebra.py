@@ -35,6 +35,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import chain, islice
 from operator import add
 
@@ -673,134 +674,95 @@ def custom_from_tensors(
 
 # -- algebra spec grammar ---------------------------------------------------
 
+# Parentheses in a spec nest at most this deep: the parser recurses once per
+# level, so a deeper spec is refused before it can exhaust the interpreter.
+MAX_SPEC_NESTING = 64
+
 _SPEC_TOKEN = re.compile(
-    r"\s*(?:"
-    r"(?P<cl>cl\(\s*(?P<clp>\d+)\s*,\s*(?P<clq>\d+)\s*\))"
-    r"|(?P<clc>clc\(\s*(?P<clcn>\d+)\s*\))"
-    r"|(?P<mat>mat\(\s*(?P<matp>\d+)\s*\|\s*(?P<matq>\d+)\s*\))"
-    r"|(?P<sum>\(\+\))"
-    r"|(?P<prod>\(x\))"
-    r"|(?P<alpha>@alpha=(?P<alphalit>\S+))"
-    r"|(?P<lpar>\()"
-    r"|(?P<rpar>\))"
-    r")"
+    r"\s*(?:(?P<atom>cl\(\s*\d+\s*,\s*\d+\s*\)|clc\(\s*\d+\s*\)|mat\(\s*\d+\s*\|\s*\d+\s*\))"
+    r"|@alpha=(?P<alpha>[^\s()]+)|(?P<op>\(\+\)|\(x\)|\(|\)))"
 )
 
 
-def _tokenize_spec(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _SPEC_TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            rest = text[pos:].strip()
-            if not rest:
-                break
-            raise ValueError(f"bad algebra spec near {rest[:12]!r}")
-        if m.group("cl"):
-            tokens.append(("cl", int(m.group("clp")), int(m.group("clq"))))
-        elif m.group("clc"):
-            tokens.append(("clc", int(m.group("clcn"))))
-        elif m.group("mat"):
-            tokens.append(("mat", int(m.group("matp")), int(m.group("matq"))))
-        elif m.group("sum"):
-            tokens.append(("op+",))
-        elif m.group("prod"):
-            tokens.append(("opx",))
-        elif m.group("alpha"):
-            tokens.append(("alpha", CycloNum.parse(m.group("alphalit"))))
-        elif m.group("lpar"):
-            tokens.append(("(",))
-        else:
-            tokens.append((")",))
+def _spec_tree(text: str):
+    """The parse tree of an algebra spec: an atom such as ("cl", 1, 0), a chain
+    ("(+)", t1, t2, ..) or ("(x)", t1, t2, ..) of two or more operands, where (x)
+    binds tighter, or ("@alpha", t, value).  The functions below pop matches off
+    the reversed token list; a chain of any length is read in a loop, and only
+    parentheses recurse, at most MAX_SPEC_NESTING deep."""
+    tokens, pos = [], 0
+    while m := _SPEC_TOKEN.match(text, pos):
+        tokens.append(m)
         pos = m.end()
-    return tokens
+    if rest := text[pos:].strip():
+        raise ValueError(f"bad algebra spec near {rest[:12]!r}")
+    if not tokens:
+        raise ValueError("empty algebra spec")
+    tokens.reverse()
+    tree = _spec_chain(tokens, 0, "(+)")
+    if tokens:
+        raise ValueError(f"trailing tokens in algebra spec: {tokens[-1][0].strip()!r}")
+    return tree
 
 
-class _SpecParser:
-    """Recursive descent over the algebra spec grammar.
-
-    (x) binds tighter than (+); both associate to the left.  An @alpha=
-    suffix after an atom or a parenthesized group sets the scale for every
-    atom inside that has no explicit alpha of its own.
-    """
-
-    def __init__(self, tokens, default_alpha):
-        self.tokens = tokens
-        self.pos = 0
-        self.default_alpha = default_alpha
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self):
-        tok = self.peek()
-        if tok is None:
-            raise ValueError("unexpected end of algebra spec")
-        self.pos += 1
-        return tok
-
-    def parse(self):
-        node = self.expr()
-        if self.peek() is not None:
-            raise ValueError(f"trailing tokens in algebra spec: {self.peek()!r}")
-        return self.build(node, self.default_alpha)
-
-    def expr(self):
-        node = self.term()
-        while self.peek() == ("op+",):
-            self.take()
-            node = ("sum", node, self.term())
-        return node
-
-    def term(self):
-        node = self.factor()
-        while self.peek() == ("opx",):
-            self.take()
-            node = ("prod", node, self.factor())
-        return node
-
-    def factor(self):
-        tok = self.take()
-        if tok[0] in ("cl", "clc", "mat"):
-            node = ("atom", tok)
-        elif tok == ("(",):
-            inner = self.expr()
-            if self.take() != (")",):
-                raise ValueError("unbalanced parenthesis in algebra spec")
-            node = inner
+def _spec_chain(tokens, depth: int, op: str):
+    """Operands joined by op, in one node; those of a (+) chain are (x) chains."""
+    parts = []
+    while True:
+        if op == "(+)":
+            parts.append(_spec_chain(tokens, depth, "(x)"))
         else:
-            raise ValueError(f"unexpected token {tok!r} in algebra spec")
-        nxt = self.peek()
-        if nxt is not None and nxt[0] == "alpha":
-            self.take()
-            node = ("set_alpha", node, nxt[1])
-        return node
+            parts.append(_spec_factor(tokens, depth))
+        if not tokens or tokens[-1]["op"] != op:
+            return parts[0] if len(parts) == 1 else (op, *parts)
+        tokens.pop()
 
-    def build(self, node, alpha):
-        kind = node[0]
-        if kind == "set_alpha":
-            return self.build(node[1], node[2])
-        if kind == "sum":
-            return direct_sum(self.build(node[1], alpha), self.build(node[2], alpha))
-        if kind == "prod":
-            return supertensor(self.build(node[1], alpha), self.build(node[2], alpha))
-        assert kind == "atom"
-        tok = node[1]
-        if tok[0] == "cl":
-            return build_clifford_real(tok[1], tok[2], alpha)
-        if tok[0] == "clc":
-            return build_clifford_complex(tok[1], alpha)
-        return build_matrix(tok[1], tok[2], alpha)
+
+def _spec_take(tokens):
+    if not tokens:
+        raise ValueError("unexpected end of algebra spec")
+    return tokens.pop()
+
+
+def _spec_factor(tokens, depth: int):
+    """An atom or a parenthesized spec, then an optional @alpha= suffix."""
+    m = _spec_take(tokens)
+    if m["atom"]:
+        node = (m["atom"].split("(")[0], *map(int, re.findall(r"\d+", m["atom"])))
+    elif m["op"] == "(":
+        if depth == MAX_SPEC_NESTING:
+            raise ValueError(f"algebra spec nests parentheses deeper than {MAX_SPEC_NESTING}")
+        node = _spec_chain(tokens, depth + 1, "(+)")
+        if _spec_take(tokens)["op"] != ")":
+            raise ValueError("unbalanced parenthesis in algebra spec")
+    else:
+        raise ValueError(f"unexpected token {m[0].strip()!r} in algebra spec")
+    if tokens and tokens[-1]["alpha"]:
+        node = ("@alpha", node, CycloNum.parse(tokens.pop()["alpha"]))
+    return node
+
+
+def _build(tree, alpha: CycloNum) -> HalfTwistAlgebra:
+    """Fold a spec tree, each chain from the left; alpha scales atoms outside @alpha."""
+    kind, *args = tree
+    if kind == "@alpha":
+        return _build(args[0], args[1])
+    if kind in ("(+)", "(x)"):
+        join = direct_sum if kind == "(+)" else supertensor
+        return reduce(join, (_build(t, alpha) for t in args))
+    if kind == "cl":
+        return build_clifford_real(*args, alpha)
+    if kind == "clc":
+        return build_clifford_complex(*args, alpha)
+    return build_matrix(*args, alpha)
 
 
 def parse_algebra(text: str, default_alpha=None) -> HalfTwistAlgebra:
-    """Build an algebra from a spec string like "cl(1,0) (x) mat(1|1)"."""
-    tokens = _tokenize_spec(text)
-    if not tokens:
-        raise ValueError("empty algebra spec")
-    default_alpha = ONE if default_alpha is None else CycloNum.coerce(default_alpha)
-    return _SpecParser(tokens, default_alpha).parse()
+    """Build an algebra from a spec string like "cl(1,0) (x) mat(1|1)".  An @alpha=
+    suffix on an atom or a parenthesized group, nested or not, scales every atom
+    inside without one of its own; the others take default_alpha (None is 1)."""
+    tree = _spec_tree(text)
+    return _build(tree, ONE if default_alpha is None else CycloNum.coerce(default_alpha))
 
 
 # -- line-oriented serialization --------------------------------------------

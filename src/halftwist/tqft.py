@@ -13,11 +13,14 @@ A closed pin surface is a `PinSurfacePresentation`: a connect sum of g tori
 and c crosscaps with the q-values of its basis cycles.  The partition
 function picks its exact route from (g, c):
 
-    (0, 0), (0, 1)   sphere, projective planes   by ribbon diagram
+    (0, 0), (0, 1)   sphere, projective planes   by a twisted cup and the cap
     (1, 0)           tori                        by a state space (super)dimension
     anything else    connect sums                by multiplying capped-off states
 
 and every value can be cross-checked against the Gauss-sum oracle in pingeo.
+The twisted cup B^ab (tau^k)_b^c carries k half twists on its right leg:
+Z(rp2:k) = R sum B^ab (tau^k)_b^c B_ac, Z(sphere) = R^2 sum B^ab B_ab; closed
+with the product instead of the cap, it is the Moebius state.
 A torus is the trace over the circle state space V_e of its first cycle,
 twisted by the parity when the second cycle is R: Z(e, NS) = dim V_e and
 Z(e, R) = sdim V_e = dim V_e^even - dim V_e^odd.  The projector onto V_e is
@@ -38,7 +41,7 @@ from operator import mul
 from .cyclo import CycloNum, ZERO, zeta_pow, real_sqrt
 from .linalg import SparseTensor, einsum, nullspace, row_reduce, scale
 from .pingeo import PinSurfacePresentation, parse_presentation
-from .ribbon import LinearBlock, evaluate, parse
+from .ribbon import LinearBlock
 from .superalgebra import AlgebraElement, HalfTwistAlgebra, supertensor
 
 __all__ = [
@@ -211,14 +214,19 @@ def projector(a: HalfTwistAlgebra, sector: str) -> LinearBlock:
     )
 
 
+def _twisted_cup(a: HalfTwistAlgebra, k: int) -> SparseTensor:
+    """B^ab (tau^k)_b^c: the cup with k half twists on its right leg."""
+    cup = a.cup
+    for _ in range(k):
+        cup = einsum("ab,bc->ac", cup, a.twist)
+    return cup
+
+
 def moebius_state(a: HalfTwistAlgebra, k: int) -> AlgebraElement:
     """The capped-off crosscap: product . (id (x) twist^k) . cup."""
     if k not in (1, 3):
         raise ValueError("crosscap class must be 1 or 3")
-    tau_k = a.twist
-    for _ in range(k - 1):
-        tau_k = einsum("ab,bc->ac", tau_k, a.twist)
-    return AlgebraElement(a, einsum("ab,bc,acx->x", a.cup, tau_k, a.product_tensor()))
+    return AlgebraElement(a, einsum("ac,acx->x", _twisted_cup(a, k), a.product_tensor()))
 
 
 def handle_state(a: HalfTwistAlgebra, e1: str, e2: str) -> AlgebraElement:
@@ -246,15 +254,14 @@ def handle_state(a: HalfTwistAlgebra, e1: str, e2: str) -> AlgebraElement:
 def partition_function(a: HalfTwistAlgebra, p: PinSurfacePresentation) -> CycloNum:
     """Exact partition function of a closed pin surface.
 
-    The sphere and the projective planes are ribbon diagrams and a torus is
-    read from a state space; every other surface is a connect sum.
+    The sphere and rp2:k close a twisted cup with the cap (k = 0 for the
+    sphere), a torus is read from a state space, and every other surface is
+    a connect sum.
     """
     shape = (p.genus, p.crosscaps)
-    if shape == (0, 0):
-        return evaluate(parse("R 2 / cup / cap"), a).scalar()
-    if shape == (0, 1):
-        twists = "id t+ / " * p.crosscap_q[0]
-        return evaluate(parse(f"R 1 / cup / {twists}cap"), a).scalar()
+    if shape in ((0, 0), (0, 1)):
+        closed = einsum("ac,ac->", _twisted_cup(a, sum(p.crosscap_q)), a.cap)
+        return a.vertex_weight ** (2 - p.crosscaps) * closed.get((), ZERO)
     if shape == (1, 0):
         q1, q2 = p.torus_q[0]
         space = state_space(a, SECTORS[q1 // 2])

@@ -45,6 +45,22 @@ def test_partition_presentation_literal():
     assert "Z.label = ABK^1" in text
 
 
+def test_partition_of_a_grouped_alpha():
+    # cl(1,0) (x) cl(0,1) is class 0, so Z(rp2:1) = alpha = -1 either way.
+    for spec in ("(cl(1,0)@alpha=-1) (x) cl(0,1)", "cl(1,0)@alpha=-1 (x) cl(0,1)"):
+        code, text = run("--format", "kv", "partition", spec, "rp2:1")
+        assert code == 0
+        assert "Z = -1 + 0*z + 0*z^2 + 0*z^3\n" in text
+
+
+def test_spec_nested_past_the_cap_exits_two(capsys):
+    code, text = run("partition", "(" * 1200 + "cl(1,0)" + ")" * 1200, "rp2:1")
+    assert code == 2 and text == ""
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "deeper than 64" in err
+
+
 def test_partition_prints_normalized_literal():
     code, text = run("--format", "kv", "partition", "cl(1,0)", " Torus: R,R ")
     assert code == 0

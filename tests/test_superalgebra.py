@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import random
 import re
@@ -27,6 +28,7 @@ from halftwist import (
 from halftwist import superalgebra
 from halftwist.linalg import CELL_CEILING
 from conftest import AXIOM_SUITE_SPECS, algebra
+from test_golden import SPECS as GOLDEN_SPECS
 
 
 def test_clifford_1_0_tensors():
@@ -376,6 +378,75 @@ def test_parse_algebra_grammar():
 def test_parse_algebra_rejects(bad):
     with pytest.raises(ValueError):
         parse_algebra(bad)
+
+
+def test_spec_tree_shows_precedence_chains_and_alpha_scope():
+    tree = superalgebra._spec_tree
+    assert tree("cl(2,0) (+) cl(1,0) (x) cl(1,0)") == (
+        "(+)", ("cl", 2, 0), ("(x)", ("cl", 1, 0), ("cl", 1, 0))
+    )
+    # A chain is one n-ary node, however long.
+    assert tree("cl(1,0) (x) clc(1) (x) mat(1|1)") == (
+        "(x)", ("cl", 1, 0), ("clc", 1), ("mat", 1, 1)
+    )
+    assert tree("(cl(1,0) (+) cl(0,1))@alpha=2") == (
+        "@alpha", ("(+)", ("cl", 1, 0), ("cl", 0, 1)), CycloNum(2)
+    )
+    assert len(tree(" (+) ".join(["cl(0,0)"] * 3000))) == 3001
+
+
+def test_grouped_alpha_scales_its_group():
+    # An @alpha= literal ends at a parenthesis, so it may close a group or
+    # touch an operator; an inner alpha wins over an outer one.
+    want = algebra_to_text(parse_algebra("cl(1,0)@alpha=2 (x) cl(0,1)"))
+    for spec in ("(cl(1,0)@alpha=2) (x) cl(0,1)", "cl(1,0)@alpha=2(x)cl(0,1)"):
+        a = parse_algebra(spec)
+        assert a.alpha == CycloNum(2)
+        assert algebra_to_text(a) == want
+    assert parse_algebra("(cl(1,0)@alpha=2)@alpha=3").alpha == CycloNum(2)
+
+
+def test_spec_nesting_is_capped():
+    cap = superalgebra.MAX_SPEC_NESTING
+    assert cap == 64
+    assert parse_algebra("(" * cap + "cl(1,0)" + ")" * cap).spec == "cl(1,0)"
+    with pytest.raises(ValueError, match=f"deeper than {cap}"):
+        parse_algebra("(" * (cap + 1) + "cl(1,0)" + ")" * (cap + 1))
+
+
+def test_a_long_chain_builds_without_recursion():
+    # Far past the interpreter's recursion limit, which a chain never meets.
+    assert parse_algebra(" (x) ".join(["cl(0,0)"] * 3000)).dim == 1
+
+
+@pytest.mark.parametrize("spec", sorted(set(GOLDEN_SPECS + AXIOM_SUITE_SPECS)))
+def test_respellings_build_the_same_algebra(spec):
+    want = algebra_to_text(algebra(spec))
+    for respelled in (
+        re.sub(r"\s*(\(\+\)|\(x\))\s*", r"\1", spec),
+        "  " + spec.replace(" ", "  ") + "  ",
+        f"({spec})",
+        f"{spec}@alpha=1",
+    ):
+        assert algebra_to_text(parse_algebra(respelled)) == want, respelled
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["(cl(1,0)@alpha=2) (x) cl(0,1)", "cl(1,0) (+) (cl(0,1) (x) mat(1|0))",
+     "(cl(1,0) (+)", "cl(1,0) (x) cl(0,1)@alpha=0", "(" * 70 + "cl(1,0)"],
+)
+def test_parsing_leaves_no_cycle(spec):
+    gc.collect()
+    gc.disable()
+    try:
+        try:
+            parse_algebra(spec)
+        except ValueError:
+            pass
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_algebra_from_text_rejects_zero_denominator():

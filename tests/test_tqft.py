@@ -1,4 +1,5 @@
 import gc
+import sys
 
 import pytest
 
@@ -28,6 +29,7 @@ from halftwist import (
     supertensor,
     zeta_pow,
 )
+from halftwist import ribbon
 from conftest import AXIOM_SUITE_SPECS, algebra, assert_projects_onto_state_space
 
 
@@ -339,6 +341,46 @@ def test_connect_sum_still_needs_a_two_sided_unit():
         with pytest.raises(ValueError, match="not a two-sided unit"):
             partition_function(a, parse_surface("klein:1,1"))
         assert "unit" not in a._cache
+
+
+# The ribbon diagrams of the sphere and the projective planes, an oracle
+# independent of the twisted cup that partition_function closes.
+SMALL_SURFACE_DIAGRAMS = {
+    "sphere": "R 2 / cup / cap",
+    "rp2:1": "R 1 / cup / id t+ / cap",
+    "rp2:3": "R 1 / cup / id t+ / id t+ / id t+ / cap",
+}
+
+
+@pytest.mark.parametrize("spec", AXIOM_SUITE_SPECS)
+def test_sphere_and_projective_planes_match_their_ribbon_diagrams(spec):
+    for alpha in ("1", "-1", "1/3"):
+        a = algebra(spec, alpha)
+        for surface, diagram in SMALL_SURFACE_DIAGRAMS.items():
+            want = ribbon.evaluate(ribbon.parse(diagram), a).scalar()
+            assert partition_function(a, parse_surface(surface)) == want, (alpha, surface)
+
+
+def test_closed_surfaces_need_no_ribbon_evaluator(monkeypatch):
+    specs = ("cl(1,0)", "cl(2,1)", "clc(1)", "mat(1|1)", "cl(1,0) (+) cl(0,1)")
+
+    def results(spec):
+        a = parse_algebra(spec)
+        values = [partition_function(a, parse_surface(s)) for s in LIBRARY_SURFACES]
+        return values, classify_invertible(a)
+
+    want = {spec: results(spec) for spec in specs}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the ribbon evaluator was called")
+
+    evaluate = ribbon.evaluate
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("halftwist"):
+            if getattr(module, "evaluate", None) is evaluate:
+                monkeypatch.setattr(module, "evaluate", refuse)
+    for spec in specs:
+        assert results(spec) == want[spec], spec
 
 
 @pytest.mark.parametrize(
