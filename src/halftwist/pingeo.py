@@ -17,20 +17,17 @@ is an eighth root of unity that classifies enhancements up to equivalence.
 `abk` computes it exactly by brute force, which gives the package an oracle
 for the closed-surface state sums that is independent of any tensor
 contraction.  Up to rank BRUTE_FORCE_RANK_CAP it determines q on every class
-by doubling over the basis: the values of q on the classes below 2^k are one
-byte each, and the classes v + e_k are pieces of that table, each shifted by
-a constant in Z/4.  A basis vector that pairs with no earlier one (every
-crosscap, and every torus x-cycle of the standard basis) gives one piece,
-the whole table shifted by q(e_k).  One that pairs only with the vector just
-below it (every torus y-cycle) gives two, its halves shifted by q(e_k) and
-q(e_k) + 2.  Each is one C-level `bytes.translate`.  Any other carries the
-pairing <v, e_k> in from a parity pattern doubled the same way, which adds a
-pass of the pattern's doubling and an int round trip over the table.  The
-last level is never built: its pieces are counted with their shifts, and the
-lower half's counts are theirs when they cut it.  At the cap the table is
-512 KiB and tracemalloc puts the peak of a standard presentation at 1 MiB,
-against 8 MiB of pointers for a list of ints.  It reads the form only
-through `basis_values` and `pairing`, never through a closed form.
+by doubling over the basis, bitsliced: q on the classes below 2^k is held
+as two ints, one bit of q(v) per class in each, so one int operation acts
+on 2^k classes.  The classes v + e_k take q(e_k) + 2 <v, e_k> added to the
+lower half, where the plane of <v, e_k> is doubled the same way over the
+row of the form.  Zero rows, torus y-cycles and rows that meet many earlier
+vectors all take this one path.  The last level is never built: both its
+halves are tallied with `int.bit_count`.  At the cap each plane is 64 KiB
+and tracemalloc puts the peak at about 0.45 MiB for a standard
+presentation and 0.5 MiB for a random F_2 basis change of one, against
+8 MiB of pointers for a list of ints.  It reads the form only through
+`basis_values` and `pairing`, never through a closed form.
 """
 
 from __future__ import annotations
@@ -52,27 +49,27 @@ __all__ = [
 
 BRUTE_FORCE_RANK_CAP = 20
 
-# Byte tables for the doubling walk in `abk`.  A byte holds q(v) in bits 0-1
-# and the pairing bit <v, e_k> in bit 2; _STEP[c] maps it to q(v) + c +
-# 2 <v, e_k> mod 4, and _FLIP toggles the pairing bit.
-_STEP = tuple(
-    bytes(((b & 3) + c + 2 * ((b >> 2) & 1)) & 3 for b in range(256)) for c in range(4)
-)
-_FLIP = bytes(b ^ 4 for b in range(256))
-
 
 @dataclass(frozen=True)
 class PinSurfacePresentation:
     """Connect sum of g tori and c crosscaps with basis q-values.
 
     torus_q holds one (q(x_i), q(y_i)) pair per torus, each value in {0, 2};
-    crosscap_q holds one q(z_j) in {1, 3} per crosscap.
+    crosscap_q holds one q(z_j) in {1, 3} per crosscap.  Values are ints,
+    reduced mod 4; any other value raises TypeError.
     """
 
     torus_q: tuple[tuple[int, int], ...]
     crosscap_q: tuple[int, ...]
 
     def __post_init__(self):
+        for kind, values in (
+            ("torus", [q for pair in self.torus_q for q in pair]),
+            ("crosscap", self.crosscap_q),
+        ):
+            for q in values:
+                if not isinstance(q, int):
+                    raise TypeError(f"{kind} value {q!r} is not an int")
         for qx, qy in self.torus_q:
             if qx % 4 not in (0, 2) or qy % 4 not in (0, 2):
                 raise ValueError("torus basis values must be even in Z/4")
@@ -151,78 +148,49 @@ def abk(p: PinSurfacePresentation) -> CycloNum:
     """The normalized Gauss sum of the enhancement, exactly in Q(zeta_8).
 
     Sums i^q(x) over all 2^rank classes and divides by sqrt(2)^rank.  The
-    classes are walked by doubling over the basis: with q known for the
-    classes below 2^k as one byte each, the classes v + e_k follow from
+    classes are walked by doubling over the basis, bitsliced: with q known
+    for the classes v < 2^k as two ints, bit v of `lo` being bit 0 of q(v)
+    and bit v of `hi` bit 1, the classes v + e_k follow from
 
         q(v + e_k) = q(v) + q(e_k) + 2 <v, e_k>   (mod 4)
 
-    as pieces of the lower half, each shifted by a constant in Z/4 (see
-    `_upper_half`).  Every level but the last appends its pieces, each one
-    `bytes.translate`.  The last level is tallied, never built: the counts
-    of each piece, with value v moved to v + shift, are added to those of
-    the lower half, and when the pieces cut the lower half those counts are
-    theirs, so each byte is counted once.  The form is read only through
-    `basis_values` and `pairing(j, k)` for j < k, once per pair, and each
-    class's q is still determined.  At the rank cap the table is 512 KiB,
-    and the tracemalloc peak of a standard presentation 1 MiB.
+    as one add with carry on whole planes.  The plane of <v, e_k> is
+    doubled over row k of the form: bit j of v flips it where
+    <e_j, e_k> = 1.  Every level but the last appends its upper half above
+    the lower; the last is tallied from both halves with `int.bit_count`,
+    never built.  The form is read only through `basis_values` and
+    `pairing(j, k)` for j < k, once per pair, and each class's q is still
+    determined.  At the rank cap each plane is 64 KiB, and the tracemalloc
+    peak about 0.45 MiB for a standard presentation and 0.5 MiB for a
+    random basis change of one.
     """
     r = p.rank
     if r > BRUTE_FORCE_RANK_CAP:
         raise ValueError(f"rank {r} exceeds the brute-force cap {BRUTE_FORCE_RANK_CAP}")
     basis = p.basis_values()
-    q = b"\0"
-    for k in range(r - 1):
-        # q holds only 0-3, so a piece with shift 0 is appended as it is.
-        q += b"".join(
-            table[start:end].translate(_STEP[shift]) if shift else table[start:end]
-            for table, start, end, shift in _upper_half(p, q, k, basis[k])
-        )
-    # n[v] counts the classes with q = v.  Pieces that cut q carry its own
-    # counts; a carried piece does not, so q is then counted on its own.
-    n = [0, 0, 0, 0]
-    pieces = _upper_half(p, q, r - 1, basis[-1]) if r else []
-    for table, start, end, shift in pieces:
-        for v, count in enumerate(_counts(table, start, end)):
-            n[(v + shift) & 3] += count
-            if table is q:
-                n[v] += count
-    if not pieces or pieces[0][0] is not q:
-        n = [a + b for a, b in zip(n, _counts(q, 0, len(q)))]
-    return CycloNum(n[0] - n[2], 0, n[1] - n[3]) / SQRT2**r
-
-
-def _upper_half(p: PinSurfacePresentation, q: bytes, k: int, qk: int) -> list:
-    """The classes v + e_k, v < 2^k, as pieces (table, start, end, shift):
-    q(v + e_k) = table[i] + shift (mod 4) for the classes of table[start:end]
-    in order.
-
-    Row k of the form, <e_j, e_k> for j < k, is read once.  A zero row
-    gives one piece, all of q shifted by q(e_k).  A row whose one nonzero
-    entry is <e_{k-1}, e_k> (every torus y-cycle of the standard basis)
-    makes <v, e_k> bit k - 1 of v: two pieces, the halves of q shifted by
-    q(e_k) and q(e_k) + 2.  Any other row carries the pairing bit <v, e_k>
-    in from a parity pattern over the lower bits, doubled the same way and
-    set as bit 2 of each byte through one int round trip of q, and gives
-    one piece already translated.
-    """
-    row = [p.pairing(j, k) for j in range(k)]
-    qk &= 3
-    if not any(row):
-        return [(q, 0, len(q), qk)]
-    if row[-1] and not any(row[:-1]):
-        half = len(q) // 2
-        return [(q, 0, half, qk), (q, half, len(q), (qk + 2) & 3)]
-    parity = b"\0"
-    for bit in row:
-        parity += parity.translate(_FLIP) if bit else parity
-    carried = int.from_bytes(q, "little") | int.from_bytes(parity, "little")
-    return [(carried.to_bytes(len(q), "little").translate(_STEP[qk]), 0, len(q), 0)]
-
-
-def _counts(table: bytes, start: int, end: int) -> tuple[int, int, int, int]:
-    """How many bytes of table[start:end] hold 0, 1, 2 and 3."""
-    n0, n1, n2 = (table.count(v, start, end) for v in range(3))
-    return n0, n1, n2, end - start - n0 - n1 - n2
+    # Class 0 has q = 0; up_lo and up_hi hold the upper half of the last level.
+    lo = hi = up_lo = up_hi = 0
+    for k in range(r):
+        size = 1 << k
+        full = (1 << size) - 1
+        row = [p.pairing(j, k) for j in range(k)]
+        pair = 0
+        if any(row):
+            for j, bit in enumerate(row):
+                width = 1 << j
+                pair |= (pair ^ ((1 << width) - 1) if bit else pair) << width
+        odd = basis[k] & 1
+        up_lo = lo ^ full if odd else lo
+        up_hi = hi ^ pair ^ (lo if odd else 0) ^ (full if basis[k] & 2 else 0)
+        if k < r - 1:
+            lo |= up_lo << size
+            hi |= up_hi << size
+    # nv counts the classes with q = v; a class with q = 3 is set in both planes.
+    n3 = (lo & hi).bit_count() + (up_lo & up_hi).bit_count()
+    n1 = lo.bit_count() + up_lo.bit_count() - n3
+    n2 = hi.bit_count() + up_hi.bit_count() - n3
+    n0 = (1 << r) - n1 - n2 - n3
+    return CycloNum(n0 - n2, 0, n1 - n3) / SQRT2**r
 
 
 def are_equivalent(p1: PinSurfacePresentation, p2: PinSurfacePresentation) -> bool:

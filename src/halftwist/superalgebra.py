@@ -74,7 +74,9 @@ class HalfTwistAlgebra:
     """Basis-indexed tensor data for the pin state sum.
 
     Instances are immutable by convention once constructed and may be shared
-    freely across threads.
+    freely across threads.  `spec`, when set, is the constructor spec the
+    algebra was built from, grouped so that `parse_algebra` reads it back,
+    but without any @alpha: an algebra at another alpha has the same spec.
     """
 
     def __init__(
@@ -502,7 +504,7 @@ def direct_sum(a: HalfTwistAlgebra, b: HalfTwistAlgebra) -> HalfTwistAlgebra:
             "vertex weight mismatch in direct sum: "
             f"{a.vertex_weight!r} vs {b.vertex_weight!r}"
         )
-    spec = f"{a.spec} (+) {b.spec}" if a.spec and b.spec else None
+    spec = f"{a.spec} (+) {_grouped(b.spec)}" if a.spec and b.spec else None
     dim = a.dim + b.dim
     _check_size(dim, spec or "direct sum")
     _require_swap(a, "direct sum")
@@ -547,6 +549,20 @@ def direct_sum(a: HalfTwistAlgebra, b: HalfTwistAlgebra) -> HalfTwistAlgebra:
     )
 
 
+def _grouped(spec: str) -> str:
+    """spec in parentheses when it holds a (+) outside them: as either operand
+    of (x), which binds tighter, or as the right operand of (+), since chains
+    fold from the left.  Every parenthesis of an atom or an operator closes
+    within it, so the depth before a (+) is the count of "(" less ")"."""
+    depth = pos = 0
+    while (at := spec.find("(+)", pos)) >= 0:
+        depth += spec.count("(", pos, at) - spec.count(")", pos, at)
+        if not depth:
+            return f"({spec})"
+        pos = at + 3
+    return spec
+
+
 def supertensor(a: HalfTwistAlgebra, b: HalfTwistAlgebra) -> HalfTwistAlgebra:
     """Graded tensor product, the stacking operation on state sums.
 
@@ -555,7 +571,9 @@ def supertensor(a: HalfTwistAlgebra, b: HalfTwistAlgebra) -> HalfTwistAlgebra:
     half twist factorizes with no extra sign.  The vertex weight and alpha
     multiply.
     """
-    spec = f"{a.spec} (x) {b.spec}" if a.spec and b.spec else None
+    spec = None
+    if a.spec and b.spec:
+        spec = f"{_grouped(a.spec)} (x) {_grouped(b.spec)}"
     db = b.dim
     dim = a.dim * db
     _check_size(dim, spec or "supertensor")

@@ -39,6 +39,19 @@ def test_presentation_validation():
     assert p.euler_characteristic == 2 - 2 - 2
 
 
+@pytest.mark.parametrize(
+    "torus_q, crosscap_q, message",
+    [
+        (((0, 2.0),), (), "torus value 2.0 is not an int"),
+        ((), (1.0,), "crosscap value 1.0 is not an int"),
+    ],
+)
+def test_presentation_rejects_non_int_values(torus_q, crosscap_q, message):
+    with pytest.raises(TypeError) as info:
+        PinSurfacePresentation(torus_q, crosscap_q)
+    assert str(info.value) == message
+
+
 def test_q_eval_examples():
     torus_rr = PinSurfacePresentation(((2, 2),), ())
     assert q_eval(torus_rr, (1, 1)) == 2
@@ -196,6 +209,45 @@ class MiddleRowsMeetEarlier(PinSurfacePresentation):
         return super().pairing(i, j)
 
 
+class BasisChange(PinSurfacePresentation):
+    """A standard presentation read in the basis f_i = sum_j A_ij e_j, for a
+    seeded A invertible over F_2.  q(f_i) is q_eval on row i of A, and the
+    pairing is the bilinear extension of the standard one, tabulated here so
+    that `abk` reads it in constant time.  The classes are those of the
+    standard presentation in another order, so the Gauss sum is the same."""
+
+    def __init__(self, base, seed):
+        super().__init__(base.torus_q, base.crosscap_q)
+        r, rng = base.rank, random.Random(seed)
+        while True:
+            rows = [rng.getrandbits(r) for _ in range(r)]
+            echelon = []
+            for row in rows:
+                for pivot in echelon:
+                    row = min(row, row ^ pivot)
+                if row:
+                    echelon.append(row)
+            if len(echelon) == r:
+                break
+        meets = [sum(base.pairing(a, b) << b for b in range(r)) for a in range(r)]
+        values = tuple(q_eval(base, [(row >> a) & 1 for a in range(r)]) for row in rows)
+        table = tuple(
+            tuple(
+                sum((meets[a] & g).bit_count() for a in range(r) if f >> a & 1) & 1
+                for g in rows
+            )
+            for f in rows
+        )
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "table", table)
+
+    def basis_values(self):
+        return self.values
+
+    def pairing(self, i, j):
+        return self.table[i][j]
+
+
 def direct_gauss_sum(p):
     """Sum i^q(x) over the bit vectors x, each evaluated on its own by q_eval."""
     powers = (ONE, I, -ONE, -I)
@@ -251,6 +303,34 @@ def test_abk_carries_the_pairing_below_the_last_level():
     assert changed
 
 
+def test_abk_is_invariant_under_basis_changes():
+    # Every row of a random basis change meets earlier vectors, so the walk
+    # carries the pairing in at almost every level.
+    for p in all_presentations(6):
+        want = abk(p)
+        for seed in range(3):
+            changed = BasisChange(p, seed)
+            value = abk(changed)
+            assert value == direct_gauss_sum(changed) == want, (p, seed)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_abk_memory_on_a_basis_change_at_the_rank_cap(seed):
+    # Each bit plane of the last level holds 2^19 classes in 64 KiB, and
+    # about eight such ints are live at the peak (0.43-0.50 MiB traced); a
+    # walk that keeps a byte per class and a carried copy traced 2.6 MiB.
+    base = parse_presentation("g=6,c=8,q=[2,2;0,2;2,2;2,0;0,0;2,2|1,3,3,1,1,1,3,1]")
+    changed = BasisChange(base, seed)
+    tracemalloc.start()
+    try:
+        value = abk(changed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == closed_form_abk(base)
+    assert peak <= 0.75 * (1 << 20)
+
+
 @pytest.mark.parametrize(
     "literal",
     [
@@ -259,8 +339,9 @@ def test_abk_carries_the_pairing_below_the_last_level():
     ],
 )
 def test_abk_memory_at_the_rank_cap(literal):
-    # The last level is tallied, not built, so the largest table is 512 KiB;
-    # building the whole 1 MiB table traced 2.0 and 3.03 MiB here.
+    # The last level is tallied, not built, so each bit plane holds 2^19
+    # classes in 64 KiB; a walk that built the whole 1 MiB byte table traced
+    # 2.0 and 3.03 MiB here.
     p = parse_presentation(literal)
     tracemalloc.start()
     try:

@@ -431,6 +431,24 @@ def test_respellings_build_the_same_algebra(spec):
         assert algebra_to_text(parse_algebra(respelled)) == want, respelled
 
 
+GROUPED_SPECS = (
+    "(cl(1,0) (+) cl(0,1)) (x) cl(1,0)",
+    "cl(1,0) (x) (cl(1,0) (+) cl(0,1))",
+    "cl(1,0) (+) (cl(0,1) (+) cl(1,0))",
+)
+
+
+@pytest.mark.parametrize(
+    "spec", sorted(set(GOLDEN_SPECS + AXIOM_SUITE_SPECS)) + list(GROUPED_SPECS)
+)
+def test_spec_names_the_algebra(spec):
+    # spec is read back as the same algebra; a (+) operand keeps its parentheses.
+    a = algebra(spec)
+    assert algebra_to_text(parse_algebra(a.spec)) == algebra_to_text(a)
+    if spec in GROUPED_SPECS:
+        assert a.spec == spec
+
+
 @pytest.mark.parametrize(
     "spec",
     ["(cl(1,0)@alpha=2) (x) cl(0,1)", "cl(1,0) (+) (cl(0,1) (x) mat(1|0))",
