@@ -2,8 +2,8 @@
 
 Tensors are dicts mapping index tuples to nonzero CycloNum values.  Products
 and permutations of zero-free tables are zero-free, so zeros are dropped only
-at outside input (custom_from_tensors, element) and where sums form (_join,
-AlgebraElement.__add__, LinearBlock.then, the ribbon step, row_reduce).
+at outside input (custom_from_tensors, element) and where sums form (probe,
+AlgebraElement.__add__, row_reduce).
 
 einsum() contracts any number of tensors by pairwise joins, never
 materializing a dense table.  The order of the joins is planned, not read off
@@ -48,7 +48,7 @@ back from a table that lives for that join alone, keyed by the values'
 canonical ints, so results are unchanged bit for bit.  product_table admits
 the table only while it has no more slots than the join has input entries;
 operands whose values mostly differ form one product per term instead.
-ribbon.evaluate's steps use the same table under the same bound.
+ribbon.evaluate's steps are the same probe, under the same bound.
 
 Exact linear algebra has one elimination routine, row_reduce, which brings
 sparse rows ({column: value} dicts) to reduced row echelon form.  nullspace,
@@ -191,15 +191,15 @@ def _slice_step(spec: str, t1, i1, t2, i2, out_idx, first: bool):
     else:
         other, other_key, cur_key, out_key = t1, key1, key2, out21
     n_other = len(other)
-    index, n_classes = _index(other, other_key)
-    widest = max(map(len, index.values()), default=0)
+    built, n_classes = index(other, other_key)
+    widest = max(map(len, built.values()), default=0)
 
     def step(cur):
         if len(cur) * widest > CELL_CEILING:
-            n_terms = sum(len(index.get(k, ())) for k in map(cur_key, cur))
+            n_terms = sum(len(built.get(k, ())) for k in map(cur_key, cur))
             if n_terms > CELL_CEILING:
                 raise _too_large(spec, n_terms)
-        return _probe(cur, cur_key, index, n_classes, n_other, out_key), out_idx
+        return probe(cur, cur_key, built, n_classes, n_other, out_key), out_idx
 
     return step
 
@@ -236,7 +236,7 @@ def _permuted(t: SparseTensor, idx: str, out_idx: str) -> SparseTensor:
     """t, over letters idx, with its keys in the order of out_idx."""
     if idx == out_idx:
         return t
-    reorder = _tuple_getter(idx, out_idx)
+    reorder = key_getter([idx.index(c) for c in out_idx])
     return {reorder(k): v for k, v in t.items()}
 
 
@@ -299,8 +299,8 @@ def _join_layout(i1: str, i2: str, out_idx: str | None):
         common,
         key1,
         key2,
-        _tuple_getter(i1 + i2, out_idx),
-        _tuple_getter(i2 + i1, out_idx),
+        key_getter([(i1 + i2).index(c) for c in out_idx]),
+        key_getter([(i2 + i1).index(c) for c in out_idx]),
         out_idx,
     )
 
@@ -309,7 +309,7 @@ def _join(t1, i1, t2, i2, out_idx=None):
     """Contract two operands over every letter they share, by a hash join.
 
     The operand with fewer entries (t2 on a tie) is indexed on the shared
-    letters (_index) and the other one probes the index (_probe); an outer
+    letters (index) and the other one probes the index (probe); an outer
     product puts every entry under one empty key.  Each term's output key
     is read off the two operand keys concatenated, in the order of the
     result's letters: the free letters of i1 then those of i2, or out_idx
@@ -318,33 +318,33 @@ def _join(t1, i1, t2, i2, out_idx=None):
     """
     _, key1, key2, out12, out21, out_idx = _join_layout(i1, i2, out_idx)
     if len(t1) < len(t2):
-        return _probe(t2, key2, *_index(t1, key1), len(t1), out21), out_idx
-    return _probe(t1, key1, *_index(t2, key2), len(t2), out12), out_idx
+        return probe(t2, key2, *index(t1, key1), len(t1), out21), out_idx
+    return probe(t1, key1, *index(t2, key2), len(t2), out12), out_idx
 
 
-def _index(build: SparseTensor, build_key) -> tuple[dict, int]:
+def index(build: SparseTensor, build_key) -> tuple[dict, int]:
     """(index, n_classes): build's entries as (key, value, class) lists
-    under their keys on the shared letters, where the class of a value is a
-    small int shared by equal values, and the number of classes."""
-    index: dict = {}
+    under build_key of their keys, where the class of a value is a small int
+    shared by equal values, and the number of classes."""
+    built: dict = {}
     classes: dict = {}
     for k, v in build.items():
         c = classes.setdefault(v._v, len(classes))
-        index.setdefault(build_key(k), []).append((k, v, c))
-    return index, len(classes)
+        built.setdefault(build_key(k), []).append((k, v, c))
+    return built, len(classes)
 
 
-def _probe(probe: SparseTensor, probe_key, index, n_classes: int, n_build: int,
-           out_key) -> SparseTensor:
-    """The terms of probe's entries with the indexed entries on their keys,
-    summed under out_key(probe key + indexed key).  Each distinct (probe
-    value, indexed value) pair is multiplied once when product_table admits
-    a table, and once per term otherwise.  A key whose sum cancels to zero
-    is dropped where it forms."""
-    table = product_table(probe.values(), n_classes, n_build)
+def probe(t: SparseTensor, probe_key, built: dict, n_classes: int, n_build: int,
+          out_key) -> SparseTensor:
+    """The terms of t's entries with the entries that index() put under
+    their probe_key, summed under out_key(t's key + indexed key).  Each
+    distinct (probe value, indexed value) pair is multiplied once when
+    product_table admits a table, and once per term otherwise.  A key whose
+    sum cancels to zero is dropped where it forms."""
+    table = product_table(t.values(), n_classes, n_build)
     out: SparseTensor = {}
-    for kp, vp in probe.items():
-        group = index.get(probe_key(kp))
+    for kp, vp in t.items():
+        group = built.get(probe_key(kp))
         if not group:
             continue
         if table is not None:
@@ -372,7 +372,7 @@ def _probe(probe: SparseTensor, probe_key, index, n_classes: int, n_build: int,
 
 
 def product_table(probe_values, n_classes: int, n_build: int) -> dict | None:
-    """An empty product table for one join or ribbon step, or None.
+    """An empty product table for one probe, or None.
 
     The table maps a probe value's canonical ints to a list, indexed by the
     class of the other factor, of their products, each formed on first use.
@@ -385,14 +385,14 @@ def product_table(probe_values, n_classes: int, n_build: int) -> dict | None:
     return {} if distinct * n_classes <= len(probe_values) + n_build else None
 
 
-def _tuple_getter(idx: str, out_idx: str):
-    """Key getter taking a key over letters idx to the tuple of its entries
-    at out_idx.  itemgetter gives a bare value for one position and takes
+def key_getter(positions):
+    """Getter taking a key to the tuple of its entries at positions, in
+    that order.  itemgetter gives a bare value for one position and takes
     no empty list, so those two cases read a slice."""
-    if len(out_idx) > 1:
-        return itemgetter(*map(idx.index, out_idx))
-    if out_idx:
-        p = idx.index(out_idx)
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    if positions:
+        p = positions[0]
         return itemgetter(slice(p, p + 1))
     return itemgetter(slice(0))
 

@@ -21,28 +21,31 @@ input width of a diagram is inferred from its first slice unless pinned.
 
 The parser normalizes each slice to at most one generator per elementary
 step; evaluation sweeps these steps bottom to top, carrying a sparse table
-over basis tuples of the live boundary.  Each step is the same for every
-generator: the generator's weight tensor replaces the consumed strands of
-each boundary entry by its outputs.  An input strand is bound inside the
-step that first consumes it: the generator's rows are indexed by the strands
-already live, each row carries the values of the inputs not yet bound, and
-the step writes them into the entry's input tuple, so it forms only entries
-that have a row.  A step forms each distinct product of an entry value and
-a weight once (see linalg.product_table).  A pass-through strand, which no
-generator touches, takes the same step at the end as the generator id, whose
-weight is delta.  A step that would form more than CELL_CEILING entries is refused before it
-is built.  A closed diagram evaluates to a single exact scalar.
+over flat keys: the basis values of the inputs bound so far, then those of
+the live strands.  Each step is the same for every generator, one linalg
+probe: the generator's weight tensor, indexed by its inputs that are
+already live, replaces the consumed strands of each boundary entry by its
+outputs.  An input strand is bound inside the step that first consumes it:
+the weight's values on the inputs not yet bound are appended to the bound
+part of the key, so the step forms only entries that have a row.  A step
+forms each distinct product of an entry value and a weight once (see
+linalg.product_table).  A pass-through strand, which no generator touches,
+takes the same step at the end as the generator id, whose weight is delta.
+A step that would form more than CELL_CEILING entries is refused before it
+is built.  The result is a LinearBlock keyed the same way, n inputs then m
+outputs, so blocks compose by one einsum; a closed diagram evaluates to a
+single exact scalar.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cache
 from itertools import product as iproduct
-from operator import itemgetter
 
 from .cyclo import CycloNum, ZERO, ONE
-from .linalg import CELL_CEILING, delta, product_table, prune, scale
+from .linalg import CELL_CEILING, delta, einsum, index, key_getter, probe, scale
 from .superalgebra import HalfTwistAlgebra
 
 __all__ = [
@@ -99,11 +102,18 @@ class RibbonDiagram:
     r_power: int = 0
 
     def widths(self) -> list[int]:
-        """Boundary widths before each step and at the top; raises on
-        inconsistent chains."""
+        """Boundary widths before each step and at the top.  Raises
+        DiagramError on a negative width or power, an unknown generator or
+        an inconsistent chain."""
+        if self.bottom < 0:
+            raise DiagramError(f"negative input width {self.bottom}")
+        if self.r_power < 0:
+            raise DiagramError(f"negative vertex weight power {self.r_power}")
         w = self.bottom
         out = [w]
         for k, (kind, pos) in enumerate(self.ops):
+            if kind not in ARITY:
+                raise DiagramError(f"step {k}: unknown generator {kind!r}")
             n_in, n_out = ARITY[kind]
             if pos < 0:
                 raise DiagramError(f"step {k}: negative strand position {pos}")
@@ -127,6 +137,7 @@ class RibbonDiagram:
 def compose(d1: RibbonDiagram, d2: RibbonDiagram) -> RibbonDiagram:
     """Stack d2 on top of d1; widths must chain and vertex counts add."""
     top1 = d1.top
+    d2.validate()
     if top1 != d2.bottom:
         raise DiagramError(
             f"cannot compose: first diagram ends with {top1} strand(s), "
@@ -176,7 +187,7 @@ def parse(text: str) -> RibbonDiagram:
     for lineno, tokens in chunks:
         head, head_col = tokens[0]
         if head == "R":
-            if seen_header or seen_slice:
+            if seen_header or seen_slice or bottom is not None:
                 raise DiagramError("R header must come first", lineno, head_col)
             if len(tokens) != 2 or not tokens[1][0].isdecimal():
                 raise DiagramError("R header expects one nonnegative integer", lineno, head_col)
@@ -186,6 +197,8 @@ def parse(text: str) -> RibbonDiagram:
         if head == "bottom":
             if seen_slice:
                 raise DiagramError("bottom directive must precede slices", lineno, head_col)
+            if bottom is not None:
+                raise DiagramError("bottom directive given twice", lineno, head_col)
             if len(tokens) != 2 or not tokens[1][0].isdecimal():
                 raise DiagramError("bottom expects one nonnegative integer", lineno, head_col)
             bottom = int(tokens[1][0])
@@ -235,10 +248,10 @@ def parse(text: str) -> RibbonDiagram:
 class LinearBlock:
     """Exact linear map (x)^n A -> (x)^m A as a sparse coefficient table.
 
-    Keys are (input tuple, output tuple) pairs of basis indices; absent
-    entries are zero.  A closed diagram gives n = m = 0 and the table holds a
-    single scalar at ((), ()).  The table is kept as given, so it must hold
-    no zero entry.
+    The table is a SparseTensor of rank n + m: each key holds n input basis
+    indices, then m output ones; absent entries are zero.  A closed diagram
+    gives n = m = 0 and the table holds a single scalar at ().  The table is
+    kept as given, so it must hold no zero entry.
     """
 
     def __init__(self, n: int, m: int, table: dict):
@@ -248,36 +261,28 @@ class LinearBlock:
 
     @classmethod
     def identity(cls, width: int, dim: int) -> "LinearBlock":
-        table = {
-            (t, t): ONE for t in iproduct(range(dim), repeat=width)
-        }
+        table = {t + t: ONE for t in iproduct(range(dim), repeat=width)}
         return cls(width, width, table)
 
     def scalar(self) -> CycloNum:
         if self.n or self.m:
             raise ValueError("scalar() needs a closed (0 -> 0) block")
-        return self.table.get(((), ()), ZERO)
+        return self.table.get((), ZERO)
 
     def then(self, other: "LinearBlock") -> "LinearBlock":
-        """Composite self followed by other."""
+        """Composite self followed by other: one einsum over self's outputs,
+        so it raises ContractionTooLarge past CELL_CEILING."""
         if self.m != other.n:
             raise ValueError(
                 f"cannot compose {self.n}->{self.m} with {other.n}->{other.m}"
             )
-        by_input: dict[tuple, list] = {}
-        for (i2, o2), v2 in other.table.items():
-            by_input.setdefault(i2, []).append((o2, v2))
-        out: dict = {}
-        for (i1, o1), v1 in self.table.items():
-            for o2, v2 in by_input.get(o1, ()):
-                key = (i1, o2)
-                acc = out.get(key)
-                term = v1 * v2
-                out[key] = term if acc is None else acc + term
-        return LinearBlock(self.n, other.m, prune(out))
+        spec = _then_spec(self.n, self.m, other.m)
+        return LinearBlock(self.n, other.m, einsum(spec, self.table, other.table))
 
     def entries(self):
-        return sorted(self.table.items())
+        """(input tuple, output tuple), value pairs in sorted order."""
+        n = self.n
+        return [((k[:n], k[n:]), v) for k, v in sorted(self.table.items())]
 
     def __eq__(self, other):
         if not isinstance(other, LinearBlock):
@@ -288,33 +293,39 @@ class LinearBlock:
         return f"LinearBlock({self.n}->{self.m}, {len(self.table)} entries)"
 
 
+@cache
+def _then_spec(n: int, m: int, k: int) -> str:
+    """The einsum spec of an n -> m block followed by an m -> k one."""
+    letters = "".join(chr(ord("a") + i) for i in range(n + m + k))
+    a, b, c = letters[:n], letters[n : n + m], letters[n + m :]
+    return f"{a}{b},{b}{c}->{a}{c}"
+
+
 def evaluate(diagram: RibbonDiagram, algebra: HalfTwistAlgebra) -> LinearBlock:
     """Contract a diagram over an algebra, slice by slice from the bottom.
 
-    Every generator takes the same step: each boundary entry looks up the
-    generator's rows by the basis values of the consumed strands that are
-    already live, and each row puts the generator's outputs in their place
-    with its weight.  A consumed input strand that is not live yet is bound
-    in that same step: the row carries its basis value, which is written
-    into the entry's input tuple.  Strands that no generator touches take
-    the same step at the end, as the generator id with weight delta.  Each
-    step is checked against CELL_CEILING on the exact number of entries it
-    forms, before any of them is built.  A step forms each distinct (entry
-    value, weight) product once, in a table kept for that step when
-    linalg.product_table admits one, and sums that cancel are dropped where
-    they form.  The row indices, with the weights' value classes, are cached
-    on the algebra (see _rows), so a diagram without t- never inverts the
-    twist.  The result is multiplied by vertex_weight ** r_power.
+    The boundary table is keyed flat: the basis values of the inputs bound so
+    far, in the order they were bound, then those of the live strands.  Each
+    step is one linalg.probe of the generator's weight tensor, indexed by its
+    inputs that are already live (_rows): it appends the values of the
+    inputs it binds and puts the generator's outputs in place of the strands
+    it consumes.  Strands that no generator touches take the same step at
+    the end, as the generator id with weight delta.  Each step is checked
+    against CELL_CEILING on the exact number of entries it forms, before any
+    is built.  The row indices are cached on the algebra, so a diagram
+    without t- never inverts the twist.  Inputs bound out of order are put
+    in input order in one pass at the end, and the result is multiplied by
+    vertex_weight ** r_power.
     """
     n, m = diagram.validate()
 
     # Slots of the live boundary: an int marks an input strand not yet bound
-    # (by input position), None a bound one whose basis value sits in the
-    # live part of the state key.  The input part holds the bound inputs'
+    # (by input position), None a live strand whose basis value sits in the
+    # live part of the state key.  The bound part holds the bound inputs'
     # values in the order they were bound, which `order` records.
     slots: list[int | None] = list(range(n))
     order: list[int] = []
-    state: dict = {((), ()): ONE}
+    state: dict = {(): ONE}
 
     def steps():
         yield from diagram.ops
@@ -327,88 +338,70 @@ def evaluate(diagram: RibbonDiagram, algebra: HalfTwistAlgebra) -> LinearBlock:
         n_in, n_out = ARITY[kind]
         window = slots[pos : pos + n_in]
         unbound = tuple([s is not None for s in window])
-        rows_by_live, widest, n_classes, n_rows = _rows(algebra, kind, unbound)
-        lo = slots[:pos].count(None)
+        rows, n_classes, widest, n_rows = _rows(algebra, kind, unbound)
+        bound = len(order)
+        lo = bound + slots[:pos].count(None)
         hi = lo + window.count(None)
+        live_key, out_key = _step_keys(bound, lo, hi, bound + slots.count(None), unbound, n_out)
         # len(state) * widest bounds the terms this step forms; count them
         # exactly only when the bound passes the ceiling.
         if len(state) * widest > CELL_CEILING:
-            cells = sum(len(rows_by_live.get(live[lo:hi], ())) for _, live in state)
+            cells = sum(len(rows.get(k, ())) for k in map(live_key, state))
             if cells > CELL_CEILING:
                 raise DiagramError(
                     f"boundary table would hold {cells} entries, over the ceiling "
                     f"of {CELL_CEILING}"
                 )
-        table = product_table(state.values(), n_classes, n_rows)
-        new: dict = {}
-        for (ins, live), v in state.items():
-            rows = rows_by_live.get(live[lo:hi])
-            if not rows:
-                continue
-            if table is not None:
-                products = table.get(v._v)
-                if products is None:
-                    products = table[v._v] = [None] * n_classes
-            pre, post = live[:lo], live[hi:]
-            for bound, outs, w, c in rows:
-                if table is None:
-                    term = v * w
-                else:
-                    term = products[c]
-                    if term is None:
-                        term = products[c] = v * w
-                key = (ins + bound, pre + outs + post)
-                acc = new.get(key)
-                if acc is None:
-                    new[key] = term
-                else:
-                    total = acc + term
-                    if total.is_zero():
-                        del new[key]
-                    else:
-                        new[key] = total
+        state = probe(state, live_key, rows, n_classes, n_rows, out_key)
         order += [s for s in window if s is not None]
         slots[pos : pos + n_in] = [None] * n_out
-        state = new
 
     if order != sorted(order):
         # Two or more inputs, bound out of order: put them in input order.
-        by_input = itemgetter(*map(order.index, range(n)))
-        state = {(by_input(ins), live): v for (ins, live), v in state.items()}
+        by_input = key_getter([*map(order.index, range(n)), *range(n, n + m)])
+        state = {by_input(k): v for k, v in state.items()}
 
     weight = algebra.vertex_weight ** diagram.r_power
     return LinearBlock(n, m, scale(state, weight) if diagram.r_power else state)
 
 
-def _rows(algebra: HalfTwistAlgebra, kind: str, unbound: tuple[bool, ...]):
-    """A generator's weight tensor as rows keyed by its live inputs.
+@cache
+def _step_keys(bound: int, lo: int, hi: int, width: int, unbound: tuple, n_out: int):
+    """(live key, output key) getters of one step's layout.
 
-    unbound flags which of the generator's inputs are not yet bound.  Each
-    row is (values of those inputs, outputs, weight, class of the weight),
-    listed under the values of the other inputs; equal weights share a
-    class, a small int.  Returns (rows, widest, n_classes, n_rows): widest
-    is the length of the longest list, n_classes the number of distinct
-    weights and n_rows the number of rows.  The index is a view of the
-    algebra's tensors, which never change, so it is built once per
-    (kind, unbound) and kept in the algebra's cache.
+    A state key of length width holds bound input values, then live
+    strands; the step consumes the live strands at lo:hi and the inputs
+    flagged in unbound.  The live key reads the consumed live values; the
+    output key reads, off a state key followed by a weight key, the bound
+    values, the values of the inputs the step binds, the live strands left
+    of the step, the weight's outputs and the live strands right of it.
     """
-    index = algebra._cache.setdefault("ribbon_rows", {})
-    if (kind, unbound) not in index:
-        n_in = len(unbound)
-        live_at = [i for i, u in enumerate(unbound) if not u]
-        bound_at = [i for i, u in enumerate(unbound) if u]
+    n_in = len(unbound)
+    return key_getter(range(lo, hi)), key_getter([
+        *range(bound),
+        *(width + i for i, u in enumerate(unbound) if u),
+        *range(bound, lo),
+        *range(width + n_in, width + n_in + n_out),
+        *range(hi, width),
+    ])
+
+
+def _rows(algebra: HalfTwistAlgebra, kind: str, unbound: tuple[bool, ...]):
+    """A generator's weight tensor, indexed by its live inputs.
+
+    unbound flags which of the generator's inputs are not yet bound; the
+    index (linalg.index) lists each weight entry under the values of the
+    other inputs.  Returns (index, n_classes, widest, n_rows): the number
+    of distinct weights, the length of the longest list and the number of
+    entries.  The index is a view of the algebra's tensors, which never
+    change, so it is built once per (kind, unbound) and kept in the
+    algebra's cache.
+    """
+    cached = algebra._cache.setdefault("ribbon_rows", {})
+    if (kind, unbound) not in cached:
         weights = WEIGHTS[kind](algebra)
-        classes: dict = {}
-        rows: dict[tuple, list] = {}
-        for key, w in weights.items():
-            rows.setdefault(tuple(map(key.__getitem__, live_at)), []).append(
-                (
-                    tuple(map(key.__getitem__, bound_at)),
-                    key[n_in:],
-                    w,
-                    classes.setdefault(w._v, len(classes)),
-                )
-            )
+        live_at = [i for i, u in enumerate(unbound) if not u]
+        rows, n_classes = index(weights, key_getter(live_at))
         widest = max(map(len, rows.values()), default=0)
-        index[kind, unbound] = rows, widest, len(classes), len(weights)
-    return index[kind, unbound]
+        cached[kind, unbound] = rows, n_classes, widest, len(weights)
+    return cached[kind, unbound]

@@ -209,9 +209,7 @@ def projector(a: HalfTwistAlgebra, sector: str) -> LinearBlock:
     at positive alpha it is the orthogonal projection for the inner product
     <x, y> = eta(star x, y).
     """
-    return LinearBlock(
-        1, 1, {((x,), (y,)): v for (x, y), v in _projector_tensor(a, sector).items()}
-    )
+    return LinearBlock(1, 1, _projector_tensor(a, sector))
 
 
 def _twisted_cup(a: HalfTwistAlgebra, k: int) -> SparseTensor:

@@ -60,10 +60,8 @@ def assert_projects_onto_state_space(a, sector):
     assert block.then(block) == block
     for v in space.basis:
         image = [ZERO] * a.dim
-        for ((x,), (y,)), w in block.table.items():
+        for (x, y), w in block.table.items():
             image[y] = image[y] + v.coeffs[x] * w
         assert a.element(image) == v
-    trace = sum(
-        (block.table.get(((x,), (x,)), ZERO) for x in range(a.dim)), start=ZERO
-    )
+    trace = sum((block.table.get((x, x), ZERO) for x in range(a.dim)), start=ZERO)
     assert trace == CycloNum(space.dim)

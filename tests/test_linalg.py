@@ -399,7 +399,7 @@ def test_slices_index_and_join_the_uncut_operands_once(monkeypatch):
     ops = (a.node, a.cup, a.node, a.cup, a.node, a.cup)
     want = einsum(spec, *ops)
     indexed, joins = [], []
-    index, join = linalg._index, linalg._join
+    index, join = linalg.index, linalg._join
 
     def recording_index(t, key):
         indexed.append(len(t))
@@ -409,7 +409,7 @@ def test_slices_index_and_join_the_uncut_operands_once(monkeypatch):
         joins.append((args[1], args[3], args[4]))
         return join(*args)
 
-    monkeypatch.setattr(linalg, "_index", recording_index)
+    monkeypatch.setattr(linalg, "index", recording_index)
     monkeypatch.setattr(linalg, "_join", recording_join)
     slices = list(einsum_slices(spec, *ops))
     assert [value for value, _ in slices] == list(range(16))
@@ -433,7 +433,7 @@ def test_ceiling_stops_an_oversize_slice_before_building(monkeypatch):
     def no_probe(*args):
         raise AssertionError("an oversize slice was built")
 
-    monkeypatch.setattr(linalg, "_probe", no_probe)
+    monkeypatch.setattr(linalg, "probe", no_probe)
     with pytest.raises(ContractionTooLarge, match=r"'ab,bc->ac'.* 100 terms"):
         next(slices)
 

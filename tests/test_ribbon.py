@@ -18,7 +18,8 @@ from halftwist import (
     parse_algebra,
     zeta_pow,
 )
-from halftwist import ribbon
+from halftwist import linalg, ribbon
+from halftwist.linalg import ContractionTooLarge
 from halftwist.ribbon import DiagramError
 from conftest import algebra, random_diagram
 
@@ -56,6 +57,20 @@ def test_parse_errors_carry_position():
         parse("cup\nR 1")
 
 
+@pytest.mark.parametrize(
+    "text, message, col",
+    [
+        ("bottom 1 / R 2 / id", "R header must come first", 12),
+        ("bottom 2 / bottom 1 / id", "bottom directive given twice", 12),
+    ],
+)
+def test_header_grammar_is_enforced(text, message, col):
+    # header? directive? slice*: no R after bottom, and one bottom at most.
+    with pytest.raises(DiagramError, match=message) as err:
+        parse(text)
+    assert err.value.line == 1 and err.value.col == col
+
+
 @pytest.mark.parametrize("text", ["R \u00b2\ncup / cap", "bottom \u00b2"])
 def test_header_integers_must_be_decimal(text):
     # A superscript two passes str.isdigit but int() refuses it.
@@ -74,6 +89,26 @@ def test_validate_rejects_bad_programmatic_ops():
     d = RibbonDiagram(1, (("t+", -1),))
     with pytest.raises(DiagramError, match="negative"):
         d.validate()
+
+
+@pytest.mark.parametrize(
+    "diagram, message",
+    [
+        (RibbonDiagram(1, (("foo", 0),)), "unknown generator 'foo'"),
+        (RibbonDiagram(-1, ()), "negative input width"),
+        (RibbonDiagram(0, (("cup", 0), ("cap", 0)), r_power=-1), "negative vertex weight power"),
+    ],
+)
+def test_hand_built_diagrams_are_validated(diagram, message):
+    with pytest.raises(DiagramError, match=message):
+        diagram.validate()
+    with pytest.raises(DiagramError, match=message):
+        evaluate(diagram, algebra("cl(1,0)"))
+
+
+def test_compose_validates_the_upper_diagram():
+    with pytest.raises(DiagramError, match="unknown generator"):
+        compose(parse("bottom 1 / t+"), RibbonDiagram(1, (("foo", 0),)))
 
 
 def test_projective_plane_values():
@@ -105,12 +140,9 @@ def test_mul_macro_is_the_product():
     a = algebra("mat(1|1)")
     block = evaluate(parse("bottom 2\nmul"), a)
     product = a.product_tensor()
-    expected = {((x, y), (z,)): v for (x, y, z), v in product.items()}
-    assert block.table == expected
+    assert block.table == product
     # eta alias
-    assert evaluate(parse("bottom 2\neta"), a).table == {
-        ((x, y), ()): v for (x, y), v in a.cap.items()
-    }
+    assert evaluate(parse("bottom 2\neta"), a).table == a.cap
 
 
 def test_left_twist_is_inverse_and_triple():
@@ -142,9 +174,43 @@ def test_compose_halves():
 
 
 def test_then_drops_cancelled_entries():
-    first = LinearBlock(1, 1, {((0,), (0,)): ONE, ((0,), (1,)): ONE})
-    second = LinearBlock(1, 1, {((0,), (0,)): ONE, ((1,), (0,)): -ONE})
+    first = LinearBlock(1, 1, {(0, 0): ONE, (0, 1): ONE})
+    second = LinearBlock(1, 1, {(0, 0): ONE, (1, 0): -ONE})
     assert first.then(second).table == {}
+
+
+def test_then_refuses_a_join_past_the_ceiling(monkeypatch):
+    a = algebra("cl(1,1)")
+    block = LinearBlock.identity(2, a.dim)
+    assert len(block.then(block).table) == 16
+    monkeypatch.setattr(linalg, "CELL_CEILING", 15)
+    with pytest.raises(ContractionTooLarge):
+        block.then(block)
+
+
+def test_block_table_is_a_flat_tensor():
+    # A block's table is keyed by n inputs then m outputs, like any tensor.
+    a = algebra("mat(1|1)")
+    assert evaluate(parse("bottom 1 / t+"), a).table == a.twist
+    assert evaluate(parse("bottom 2 / x"), a).table == a.crossing
+    assert evaluate(parse("cup"), a).table == a.cup
+    assert evaluate(parse("cup / cap"), a).table == {(): CycloNum(4)}
+
+
+def test_entries_of_inputs_bound_out_of_order():
+    # The twist binds input 2 before the crossing binds inputs 0 and 1.
+    block = evaluate(parse("bottom 3 / id id t+ / x id"), algebra("cl(1,0)"))
+    i = zeta_pow(2)
+    assert block.entries() == [
+        (((0, 0, 0), (0, 0, 0)), ONE),
+        (((0, 0, 1), (0, 0, 1)), i),
+        (((0, 1, 0), (1, 0, 0)), ONE),
+        (((0, 1, 1), (1, 0, 1)), i),
+        (((1, 0, 0), (0, 1, 0)), ONE),
+        (((1, 0, 1), (0, 1, 1)), i),
+        (((1, 1, 0), (1, 1, 0)), -ONE),
+        (((1, 1, 1), (1, 1, 1)), -i),
+    ]
 
 
 def test_zero_vertex_weight_gives_an_empty_table():
@@ -203,8 +269,8 @@ def test_untouched_strands_pass_through():
     block = evaluate(d, a)
     for x in range(2):
         for y in range(2):
-            assert block.table[((x, y, 0), (x, y, 0))] == ONE
-            assert block.table[((x, y, 1), (x, y, 1))] == zeta_pow(2)
+            assert block.table[x, y, 0, x, y, 0] == ONE
+            assert block.table[x, y, 1, x, y, 1] == zeta_pow(2)
 
 
 def test_guards(monkeypatch):
@@ -245,7 +311,7 @@ def step_block(a, kind, pos, width):
     table = {}
     for ins in iproduct(range(a.dim), repeat=width):
         for outs, v in rows.get(ins[pos : pos + n_in], ()):
-            table[(ins, ins[:pos] + outs + ins[pos + n_in :])] = v
+            table[ins + ins[:pos] + outs + ins[pos + n_in :]] = v
     return LinearBlock(width, width - n_in + n_out, table)
 
 
@@ -326,19 +392,22 @@ def test_distinct_weights_form_one_product_per_term(monkeypatch):
     assert len({v for t in tensors for v in t.values()}) == sum(map(len, tensors))
     a = custom_from_tensors(*tensors, base.vertex_weight, base.parity)
     tables = []
-    product_table = ribbon.product_table
+    product_table = linalg.product_table
 
     def recording(*args):
         tables.append(product_table(*args))
         return tables[-1]
 
-    monkeypatch.setattr(ribbon, "product_table", recording)
     for text in ("bottom 3 / id t+ id / node", "bottom 2 / id cup id / x x / cap cap"):
         d = parse(text)
         want = LinearBlock.identity(d.bottom, a.dim)
         for (kind, pos), width in zip(d.ops, d.widths()):
             want = want.then(step_block(a, kind, pos, width))
-        assert evaluate(d, a) == want, text
+        # Only the evaluation's own steps are recorded, not the joins of then.
+        with monkeypatch.context() as patched:
+            patched.setattr(linalg, "product_table", recording)
+            block = evaluate(d, a)
+        assert block == want, text
     assert None in tables
 
 

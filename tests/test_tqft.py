@@ -29,7 +29,7 @@ from halftwist import (
     supertensor,
     zeta_pow,
 )
-from halftwist import ribbon
+from halftwist import ribbon, tqft
 from conftest import AXIOM_SUITE_SPECS, algebra, assert_projects_onto_state_space
 
 
@@ -119,8 +119,8 @@ def test_projector_clifford():
     a = algebra("cl(1,0)")
     p_ns = projector(a, "NS")
     p_r = projector(a, "R")
-    assert p_ns.table == {((0,), (0,)): ONE}
-    assert p_r.table == {((1,), (1,)): ONE}
+    assert p_ns.table == {(0, 0): ONE}
+    assert p_r.table == {(1, 1): ONE}
     assert p_ns.then(p_ns) == p_ns
     assert p_r.then(p_r) == p_r
 
@@ -132,12 +132,19 @@ def test_projector_matrix_rank_one():
     # image is the line through the unit
     u = a.unit()
     image = [ZERO] * a.dim
-    for ((x,), (y,)), v in p.table.items():
+    for (x, y), v in p.table.items():
         image[y] = image[y] + u.coeffs[x] * v
     assert a.element(image) == u
 
 
 PROJECTOR_SPECS = ("cl(1,0)", "cl(2,1)", "mat(1|1)", "clc(1)")
+
+
+def test_projector_table_is_the_projector_tensor():
+    for spec in PROJECTOR_SPECS:
+        a = algebra(spec)
+        for sector in ("NS", "R"):
+            assert projector(a, sector).table == tqft._projector_tensor(a, sector)
 
 
 def test_projector_at_negative_alpha():
@@ -169,7 +176,7 @@ def test_projector_is_self_adjoint():
             for sector in ("NS", "R"):
                 assert_projects_onto_state_space(a, sector)
                 images = [a.element([ZERO] * a.dim) for _ in range(a.dim)]
-                for ((x,), (y,)), w in projector(a, sector).table.items():
+                for (x, y), w in projector(a, sector).table.items():
                     images[x] = images[x] + w * a.basis_element(y)
                 for x in range(a.dim):
                     e_x = a.basis_element(x)
