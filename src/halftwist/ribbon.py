@@ -40,6 +40,7 @@ single exact scalar.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from functools import cache
 from itertools import product as iproduct
@@ -315,7 +316,8 @@ def evaluate(diagram: RibbonDiagram, algebra: HalfTwistAlgebra) -> LinearBlock:
     is built.  The row indices are cached on the algebra, so a diagram
     without t- never inverts the twist.  Inputs bound out of order are put
     in input order in one pass at the end, and the result is multiplied by
-    vertex_weight ** r_power.
+    vertex_weight ** r_power, which is refused past Python's int digit limit
+    (_weight_power).
     """
     n, m = diagram.validate()
 
@@ -361,8 +363,37 @@ def evaluate(diagram: RibbonDiagram, algebra: HalfTwistAlgebra) -> LinearBlock:
         by_input = key_getter([*map(order.index, range(n)), *range(n, n + m)])
         state = {by_input(k): v for k, v in state.items()}
 
-    weight = algebra.vertex_weight ** diagram.r_power
-    return LinearBlock(n, m, scale(state, weight) if diagram.r_power else state)
+    if diagram.r_power:
+        state = scale(state, _weight_power(algebra.vertex_weight, diagram.r_power))
+    return LinearBlock(n, m, state)
+
+
+def _weight_power(weight: CycloNum, power: int) -> CycloNum:
+    """weight ** power by squaring, refused with ValueError as soon as an
+    integer of an intermediate power has more digits than Python writes as
+    text (sys.get_int_max_str_digits(); no check when that is 0).  Such a
+    power could not be printed, and squaring on past it exhausts memory.
+    """
+    limit = sys.get_int_max_str_digits()
+    # An integer of more than limit digits has more than 3.32 * limit bits.
+    bits = 3.32 * limit
+
+    def checked(x: CycloNum) -> CycloNum:
+        if limit and any(i.bit_length() > bits and abs(i) >= 10**limit for i in x._v):
+            raise ValueError(
+                f"Exceeds the limit ({limit} digits) for integer string conversion "
+                f"in R^{power}; use sys.set_int_max_str_digits() to increase the limit"
+            )
+        return x
+
+    result, base, rest = ONE, weight, power
+    while True:
+        if rest & 1:
+            result = checked(result * base)
+        rest >>= 1
+        if not rest:
+            return result
+        base = checked(base * base)
 
 
 @cache

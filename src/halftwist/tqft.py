@@ -23,13 +23,13 @@ Z(rp2:k) = R sum B^ab (tau^k)_b^c B_ac, Z(sphere) = R^2 sum B^ab B_ab; closed
 with the product instead of the cap, it is the Moebius state.
 A torus is the trace over the circle state space V_e of its first cycle,
 twisted by the parity when the second cycle is R: Z(e, NS) = dim V_e and
-Z(e, R) = sdim V_e = dim V_e^even - dim V_e^odd.  The projector onto V_e is
-the state-sum cylinder map, and a handle state caps off its trace.  A
+Z(e, R) = sdim V_e = dim V_e^even - dim V_e^odd.  A handle state, read off
+V_e as Moore-Segal's element sum_i s_i v_i v^i, closes to that trace.  A
 connect sum multiplies the handle states of its tori and the Moebius states
 of its crosscaps, starting from the first factor, and closes the product
 with the counit; the unit enters only through the counit and as the empty
-product, the sphere.  All of this is built from the state-sum tensors alone:
-nothing here needs a star structure or a positive alpha.
+product, the sphere.  The cylinder projector onto V_e is an oracle that no
+route calls.  Nothing here needs a star structure or a positive alpha.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from functools import reduce
 from operator import mul
 
 from .cyclo import CycloNum, ZERO, zeta_pow, real_sqrt
-from .linalg import SparseTensor, einsum, nullspace, row_reduce, scale
+from .linalg import SparseTensor, einsum, mat_invert, nullspace, row_reduce, scale
 from .pingeo import PinSurfacePresentation, parse_presentation
 from .ribbon import LinearBlock
 from .superalgebra import AlgebraElement, HalfTwistAlgebra, supertensor
@@ -184,16 +184,6 @@ def state_space(a: HalfTwistAlgebra, sector: str) -> StateSpace:
     return StateSpace(sector, tuple(basis), tuple(parities))
 
 
-def _projector_tensor(a: HalfTwistAlgebra, sector: str) -> SparseTensor:
-    """P_e as a sparse matrix: entry (x, y) is the e_y coefficient of P_e(e_x)."""
-    if sector not in SECTORS:
-        raise ValueError(f"unknown sector {sector!r} (expected NS or R)")
-    cup = a.cup if sector == "NS" else einsum("ab,bp->ap", a.cup, a.full_twist())
-    product = a.product_tensor()
-    table = einsum("ab,bxcd,cdf,afy->xy", cup, a.crossing, product, product)
-    return scale(table, a.vertex_weight)
-
-
 def projector(a: HalfTwistAlgebra, sector: str) -> LinearBlock:
     """Projection onto the sector state space, as a 1 -> 1 block.
 
@@ -202,14 +192,20 @@ def projector(a: HalfTwistAlgebra, sector: str) -> LinearBlock:
 
         P_e(x) = R sum_ab B^ab e_a . m(crossing(e'_b (x) x)),
 
-    with e'_b = e_b for NS and phi(e_b) for R.  The graded sign comes from
-    the crossing, not from the parities.  P_e fixes every state and its
-    image is the state space, so it is idempotent with trace dim V_e.  It
-    needs no star map and no positive alpha; for the constructor algebras
-    at positive alpha it is the orthogonal projection for the inner product
-    <x, y> = eta(star x, y).
+    with e'_b = e_b for NS and phi(e_b) for R; entry (x, y) is the e_y
+    coefficient of P_e(e_x).  The graded sign comes from the crossing, not
+    from the parities.  P_e fixes every state and its image is the state
+    space, so it is idempotent with trace dim V_e.  It needs no star map
+    and no positive alpha; for the constructor algebras at positive alpha
+    it is the orthogonal projection for <x, y> = eta(star x, y).  No
+    surface route calls it; it is an oracle for the handle states.
     """
-    return LinearBlock(1, 1, _projector_tensor(a, sector))
+    if sector not in SECTORS:
+        raise ValueError(f"unknown sector {sector!r} (expected NS or R)")
+    cup = a.cup if sector == "NS" else einsum("ab,bp->ap", a.cup, a.full_twist())
+    product = a.product_tensor()
+    table = einsum("ab,bxcd,cdf,afy->xy", cup, a.crossing, product, product)
+    return LinearBlock(1, 1, scale(table, a.vertex_weight))
 
 
 def _twisted_cup(a: HalfTwistAlgebra, k: int) -> SparseTensor:
@@ -230,23 +226,26 @@ def moebius_state(a: HalfTwistAlgebra, k: int) -> AlgebraElement:
 def handle_state(a: HalfTwistAlgebra, e1: str, e2: str) -> AlgebraElement:
     """The capped-off handle for a torus with cycles of types e1, e2.
 
-    The torus value is the trace of O = P_e1, followed by phi when e2 is R.
-    By cyclicity that trace is the counit of sum_ab B^ab O(e_b) e_a, so
-    dividing by the vertex weight gives an element whose capped closure
-    reproduces the torus; the closure is checked against the trace.
+    This is Moore-Segal's handle element read off the state space V_e1:
+
+        h = R^-1 sum_ij s_i (G^-1)_ji v_i v_j,   G_ij = B(v_i, v_j),
+
+    with v_i the basis of V_e1, B the cap (on a special algebra
+    B(x, y) = eps(xy)) and s_i = (-1)^parity(v_i) when e2 is R, else 1.
+    So R eps(h) = sum_i s_i, the torus value.  An algebra that is not
+    special has no two-sided unit and is refused with ValueError.
     """
     e1, e2 = e1.upper(), e2.upper()
     if e2 not in SECTORS:
         raise ValueError("torus cycles must be NS or R")
-    op = _projector_tensor(a, e1)
-    if e2 == "R":
-        op = einsum("xz,zy->xy", op, a.full_twist())
-    vec = einsum("ab,by,yax->x", a.cup, op, a.product_tensor())
-    h = AlgebraElement(a, scale(vec, a.vertex_weight.inverse()))
-    trace = sum((op.get((x, x), ZERO) for x in range(a.dim)), start=ZERO)
-    if a.vertex_weight * a.counit(h) != trace:
-        raise ValueError("handle state closure does not match the torus trace")
-    return h
+    a.unit()  # raises unless the algebra is special
+    space = state_space(a, e1)
+    basis = {(i, x): v for i, b in enumerate(space.basis) for (x,), v in b.vector.items()}
+    flip = [p == 1 and e2 == "R" for p in space.parities]
+    signed = {(i, x): -v if flip[i] else v for (i, x), v in basis.items()}
+    gram_inverse = mat_invert(einsum("ia,jb,ab->ij", basis, basis, a.cap), space.dim)
+    vec = einsum("ia,ji,jb,abc->c", signed, gram_inverse, basis, a.product_tensor())
+    return AlgebraElement(a, scale(vec, a.vertex_weight.inverse()))
 
 
 def partition_function(a: HalfTwistAlgebra, p: PinSurfacePresentation) -> CycloNum:
@@ -272,14 +271,14 @@ def partition_function(a: HalfTwistAlgebra, p: PinSurfacePresentation) -> CycloN
 def connect_sum_pf(a: HalfTwistAlgebra, p: PinSurfacePresentation) -> CycloNum:
     """Closed connect sum of the tori and crosscaps of a presentation.
 
-    Each torus contributes its handle state, with q = 0 an NS cycle and
-    q = 2 an R cycle, and each crosscap its Moebius state; the partition
-    function is the vertex weight times the counit of their product, tori
-    first.  The product starts from the first factor, so n factors take
-    n - 1 element products.  Each distinct handle and Moebius state is
-    built once.  The unit enters through the counit, which raises when the
-    algebra is not special, and as the product of no factors: the empty
-    connect sum is the sphere.
+    Each torus contributes its handle state, read off the state space of
+    its first cycle (q = 0 NS, q = 2 R), and each crosscap its Moebius
+    state; the partition function is the vertex weight times the counit
+    of their product, tori first.  The product starts from the first
+    factor, so n factors take n - 1 element products.  Each distinct
+    handle and Moebius state is built once.  The unit enters through the
+    counit, which raises when the algebra is not special, and as the
+    product of no factors: the empty connect sum is the sphere.
     """
     handles = {
         q: handle_state(a, SECTORS[q[0] // 2], SECTORS[q[1] // 2])

@@ -1,7 +1,9 @@
 import functools
 
 from halftwist import ZERO, CycloNum, RibbonDiagram, parse_algebra, projector, state_space
+from halftwist.linalg import einsum, scale
 from halftwist.ribbon import ARITY
+from halftwist.superalgebra import AlgebraElement
 
 
 # The acceptance axiom suite: constructor specs of dims 1-16.
@@ -65,3 +67,18 @@ def assert_projects_onto_state_space(a, sector):
         assert a.element(image) == v
     trace = sum((block.table.get((x, x), ZERO) for x in range(a.dim)), start=ZERO)
     assert trace == CycloNum(space.dim)
+
+
+def twisted_projector(a, e1, e2):
+    """P_e1 followed by the full twist when e2 is R: its trace is the torus
+    value Z(e1, e2)."""
+    op = projector(a, e1).table
+    return einsum("xz,zy->xy", op, a.full_twist()) if e2 == "R" else op
+
+
+def projector_handle(a, e1, e2):
+    """The handle state read off the cylinder projector, the oracle for
+    `handle_state`: R^-1 sum_ab B^ab m(O(e_b), e_a) with O the twisted
+    projector, whose capped closure is the trace of O by cyclicity."""
+    vec = einsum("ab,by,yax->x", a.cup, twisted_projector(a, e1, e2), a.product_tensor())
+    return AlgebraElement(a, scale(vec, a.vertex_weight.inverse()))

@@ -1,4 +1,5 @@
 import random
+import sys
 from itertools import product as iproduct
 
 import pytest
@@ -227,6 +228,42 @@ def test_diagram_without_r_is_not_scaled(monkeypatch):
 
     monkeypatch.setattr(ribbon, "scale", no_scale)
     assert evaluate(parse("cup / cap"), algebra("cl(1,0)")).scalar() == CycloNum(2)
+
+
+def test_r_power_past_the_digit_limit_is_refused_before_it_grows(monkeypatch):
+    # R^(10^10) over cl(1,0) has integers of ~1.5 * 10^9 digits.  The refusal
+    # comes after ~14 squarings; without it the counter stops the run after
+    # 40 products, while the integers are still under 1 MiB.
+    products = []
+    mul = CycloNum.__mul__
+
+    def counted(x, y):
+        products.append(None)
+        if len(products) > 40:
+            raise AssertionError("R power grew past the digit limit unchecked")
+        return mul(x, y)
+
+    a = algebra("cl(1,0)")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        monkeypatch.setattr(CycloNum, "__mul__", counted)
+        with pytest.raises(ValueError, match=r"^Exceeds the limit \(4300 digits\)"):
+            evaluate(parse("R 10000000000 / cup / cap"), a)
+        monkeypatch.undo()
+        # R^28000 = 2^-14000 has 4215 digits, so it is admitted.
+        assert evaluate(parse("R 28000 / cup / cap"), a).scalar() == CycloNum(2) * (
+            a.vertex_weight**28000
+        )
+        # With R = 1 no integer grows, whatever the power.
+        unit_weight = evaluate(parse("R 1000000000000 / cup / cap"), algebra("cl(0,0)"))
+        assert unit_weight.scalar() == ONE
+        # A limit of 0 means no limit.
+        sys.set_int_max_str_digits(0)
+        big = evaluate(parse("R 30000 / cup / cap"), a).scalar()
+        assert big == CycloNum(2) * a.vertex_weight**30000
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_compose_width_mismatch():

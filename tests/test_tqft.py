@@ -30,7 +30,14 @@ from halftwist import (
     zeta_pow,
 )
 from halftwist import ribbon, tqft
-from conftest import AXIOM_SUITE_SPECS, algebra, assert_projects_onto_state_space
+from conftest import (
+    AXIOM_SUITE_SPECS,
+    algebra,
+    assert_projects_onto_state_space,
+    projector_handle,
+    twisted_projector,
+)
+from test_golden import SURFACES as GOLDEN_SURFACES
 
 
 def test_state_spaces_clifford():
@@ -138,13 +145,6 @@ def test_projector_matrix_rank_one():
 
 
 PROJECTOR_SPECS = ("cl(1,0)", "cl(2,1)", "mat(1|1)", "clc(1)")
-
-
-def test_projector_table_is_the_projector_tensor():
-    for spec in PROJECTOR_SPECS:
-        a = algebra(spec)
-        for sector in ("NS", "R"):
-            assert projector(a, sector).table == tqft._projector_tensor(a, sector)
 
 
 def test_projector_at_negative_alpha():
@@ -280,6 +280,49 @@ def test_handle_state_needs_no_constructor_provenance():
             assert handle_state(anonymous, e1, e2).coeffs == handle_state(a, e1, e2).coeffs
 
 
+HANDLE_PAIRS = [(e1, e2) for e1 in ("NS", "R") for e2 in ("NS", "R")]
+
+
+@pytest.mark.parametrize(
+    "spec, alpha",
+    [(spec, alpha) for spec in AXIOM_SUITE_SPECS for alpha in ("1", "-1", "1/3")]
+    + [("cl(5,0)", "1"), ("cl(3,3)", "1")],
+)
+def test_handle_state_equals_the_projector_route(spec, alpha):
+    a = algebra(spec, alpha)
+    for e1, e2 in HANDLE_PAIRS:
+        want = projector_handle(a, e1, e2).vector
+        assert handle_state(a, e1, e2).vector == want, (e1, e2)
+
+
+@pytest.mark.parametrize("spec", AXIOM_SUITE_SPECS)
+def test_handle_state_closes_to_the_projector_trace(spec):
+    for alpha in ("1", "-1", "z-z^3"):
+        a = algebra(spec, alpha)
+        for e1, e2 in HANDLE_PAIRS:
+            op = twisted_projector(a, e1, e2)
+            trace = sum((op.get((x, x), ZERO) for x in range(a.dim)), start=ZERO)
+            closure = a.vertex_weight * a.counit(handle_state(a, e1, e2))
+            assert closure == trace, (alpha, e1, e2)
+
+
+def test_closed_surfaces_need_no_projector(monkeypatch):
+    specs = ("cl(1,0)", "clc(1)", "mat(2|1)")
+
+    def values(spec):
+        a = parse_algebra(spec)
+        return [partition_function(a, parse_surface(s)) for s in GOLDEN_SURFACES]
+
+    want = {spec: values(spec) for spec in specs}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the projector was called")
+
+    monkeypatch.setattr(tqft, "projector", refuse)
+    for spec in specs:
+        assert values(spec) == want[spec], spec
+
+
 def test_connect_sums_against_oracle():
     a = algebra("cl(1,0)")
     three = connect_sum_pf(a, PinSurfacePresentation((), (1, 1, 1)))
@@ -292,12 +335,10 @@ def test_connect_sums_against_oracle():
 
 
 def test_connect_sum_builds_each_handle_state_once(monkeypatch):
-    from halftwist import tqft
-
     calls = []
-    build = tqft._projector_tensor
+    build = tqft.state_space
     monkeypatch.setattr(
-        tqft, "_projector_tensor", lambda a, sector: calls.append(sector) or build(a, sector)
+        tqft, "state_space", lambda a, sector: calls.append(sector) or build(a, sector)
     )
     p = parse_surface("g=3,c=0,q=[2,2;2,2;2,2|]")
     z = connect_sum_pf(algebra("cl(1,0)"), p)
@@ -335,19 +376,33 @@ def test_connect_sum_forms_one_product_fewer_than_factors(monkeypatch):
     assert calls == []
 
 
-def test_connect_sum_still_needs_a_two_sided_unit():
-    # Doubling R leaves the algebra not special (a4 fails), so the counit,
-    # and with it every connect sum, is refused, and no unit is cached.
+def doubled_weight():
+    """cl(1,0) with R doubled: not special (a4 fails), so it has no
+    two-sided unit."""
     base = algebra("cl(1,0)")
     a = custom_from_tensors(
         base.node, base.cap, base.cup, base.crossing, base.twist,
         CycloNum(2) * base.vertex_weight, base.parity,
     )
     assert not check_axiom(a, "a4").passed
+    return a
+
+
+def test_connect_sum_still_needs_a_two_sided_unit():
+    # The counit, and with it every connect sum, is refused, and no unit is
+    # cached.
+    a = doubled_weight()
     for _ in range(2):
         with pytest.raises(ValueError, match="not a two-sided unit"):
             partition_function(a, parse_surface("klein:1,1"))
         assert "unit" not in a._cache
+
+
+def test_handle_state_still_needs_a_two_sided_unit():
+    a = doubled_weight()
+    for e1, e2 in HANDLE_PAIRS:
+        with pytest.raises(ValueError, match="not a two-sided unit"):
+            handle_state(a, e1, e2)
 
 
 # The ribbon diagrams of the sphere and the projective planes, an oracle
