@@ -22,12 +22,14 @@ as two ints, one bit of q(v) per class in each, so one int operation acts
 on 2^k classes.  The classes v + e_k take q(e_k) + 2 <v, e_k> added to the
 lower half, where the plane of <v, e_k> is doubled the same way over the
 row of the form.  Zero rows, torus y-cycles and rows that meet many earlier
-vectors all take this one path.  The last level is never built: both its
-halves are tallied with `int.bit_count`.  At the cap each plane is 64 KiB
-and tracemalloc puts the peak at about 0.45 MiB for a standard
-presentation and 0.5 MiB for a random F_2 basis change of one, against
-8 MiB of pointers for a list of ints.  It reads the form only through
-`basis_values` and `pairing`, never through a closed form.
+vectors all take this one path.  The walk stops two levels short: each of
+the three cosets of the top two basis vectors is tallied from the lower
+planes with `int.bit_count`, `hi` flipped by the plane of its pairing with
+the lower classes, and never built.  At the cap each plane is 32 KiB, and
+tracemalloc puts the peak at 0.13-0.17 MiB for a standard presentation and
+0.20 MiB for a random F_2 basis change of one, against 8 MiB of pointers
+for a list of ints.  It reads the form only through `basis_values` and
+`pairing`, never through a closed form.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .cyclo import CycloNum, SQRT2
+from .cyclo import CycloNum, _canonical
 
 __all__ = [
     "PinSurfacePresentation",
@@ -124,73 +126,158 @@ def q_eval(p: PinSurfacePresentation, bits) -> int:
     The class is expanded in the standard basis in a fixed order, adding
     basis values and twice the pairing of the partial sum with each new
     generator; well-definedness under reorderings is a tested property.
-    Raises ValueError on a bit other than 0 or 1, naming its position.
+    Raises ValueError on a bit that is not the int 0 or 1 (a bool counts),
+    naming its position, and on a pairing value other than 0 or 1, naming
+    the pair.
     """
-    bits = tuple(int(b) for b in bits)
+    bits = tuple(bits)
     if len(bits) != p.rank:
         raise ValueError(f"expected {p.rank} bits, got {len(bits)}")
     for idx, bit in enumerate(bits):
-        if bit not in (0, 1):
-            raise ValueError(f"bit {idx} is {bit}; expected 0 or 1")
+        if not isinstance(bit, int) or bit not in (0, 1):
+            raise ValueError(f"bit {idx} is {bit!r}; expected 0 or 1")
     basis = p.basis_values()
     total = 0
     taken: list[int] = []
     for idx, bit in enumerate(bits):
         if not bit:
             continue
-        cross = sum(p.pairing(prev, idx) for prev in taken)
+        cross = 0
+        for prev in taken:
+            value = p.pairing(prev, idx)
+            if value not in (0, 1):
+                raise _pairing_error(prev, idx, value)
+            cross += value
         total = (total + basis[idx] + 2 * cross) % 4
         taken.append(idx)
     return total
+
+
+def _pairing_error(i: int, j: int, value) -> ValueError:
+    return ValueError(f"pairing({i}, {j}) is {value!r}; expected 0 or 1")
+
+
+_BITS = frozenset((0, 1))
+
+
+def _pairing_plane(p: PinSurfacePresentation, k: int, m: int) -> int:
+    """The plane of <v, e_k> over the classes v < 2^m, bit v for class v.
+
+    It is doubled over row k of the form, read as pairing(j, k) for j < m:
+    bit j of v flips it where <e_j, e_k> = 1.
+    """
+    row = [p.pairing(j, k) for j in range(m)]
+    if not _BITS.issuperset(row):
+        j = next(j for j, value in enumerate(row) if value not in (0, 1))
+        raise _pairing_error(j, k, row[j])
+    plane = 0
+    if any(row):
+        for j, bit in enumerate(row):
+            width = 1 << j
+            plane |= (plane ^ ((1 << width) - 1) if bit else plane) << width
+    return plane
+
+
+def _tally(n: int, a: int, lo: int, hi: int) -> tuple[int, int]:
+    """Sum of i^q(v) over n classes with bit planes lo and hi, as (real
+    part, imaginary part); a is lo.bit_count()."""
+    b, c = hi.bit_count(), (lo & hi).bit_count()
+    # #q=0 - #q=2 and #q=1 - #q=3: a class with q = 3 is set in both planes.
+    return n - a - 2 * b + 2 * c, a - 2 * c
+
+
+def _turn(q: int, x: int, y: int) -> tuple[int, int]:
+    """i^q * (x + iy) as (real part, imaginary part)."""
+    return ((x, y), (-y, x), (-x, -y), (y, -x))[q & 3]
+
+
+def _walk(p: PinSurfacePresentation, basis, m: int) -> tuple[int, int]:
+    """The bit planes lo and hi of q over the classes v < 2^m."""
+    # Class 0 has q = 0.
+    lo = hi = 0
+    for k in range(m):
+        size = 1 << k
+        full = (1 << size) - 1
+        pair = _pairing_plane(p, k, k)
+        odd = basis[k] & 1
+        up_lo = lo ^ full if odd else lo
+        up_hi = hi ^ pair ^ (lo if odd else 0) ^ (full if basis[k] & 2 else 0)
+        lo |= up_lo << size
+        hi |= up_hi << size
+    return lo, hi
+
+
+def _top_cosets(p: PinSurfacePresentation, basis, m: int):
+    """(q(u), plane of <v, u> over v < 2^m) for the cosets u = a, b and a + b
+    of the top vectors a = e_m and b = e_{m+1}.  A rank below 2 lacks b, and
+    rank 0 lacks a too.  P1 and P2 read rows m and m + 1 below column m."""
+    r = p.rank
+    if r < 1:
+        return
+    p1 = _pairing_plane(p, m, m)
+    yield basis[m], p1
+    if r < 2:
+        return
+    ab = p.pairing(m, m + 1)
+    if ab not in (0, 1):
+        raise _pairing_error(m, m + 1, ab)
+    p2 = _pairing_plane(p, m + 1, m)
+    yield basis[m + 1], p2
+    # P1 ^ P2 replaces P2, so that no more than two planes of the form live.
+    p2 ^= p1
+    yield basis[m] + basis[m + 1] + 2 * ab, p2
 
 
 def abk(p: PinSurfacePresentation) -> CycloNum:
     """The normalized Gauss sum of the enhancement, exactly in Q(zeta_8).
 
     Sums i^q(x) over all 2^rank classes and divides by sqrt(2)^rank.  The
-    classes are walked by doubling over the basis, bitsliced: with q known
-    for the classes v < 2^k as two ints, bit v of `lo` being bit 0 of q(v)
-    and bit v of `hi` bit 1, the classes v + e_k follow from
+    classes spanned by the first m = rank - 2 basis vectors are walked by
+    doubling, bitsliced: with q known for the classes v < 2^k as two ints,
+    bit v of `lo` being bit 0 of q(v) and bit v of `hi` bit 1, the classes
+    v + e_k follow from
 
         q(v + e_k) = q(v) + q(e_k) + 2 <v, e_k>   (mod 4)
 
-    as one add with carry on whole planes.  The plane of <v, e_k> is
-    doubled over row k of the form: bit j of v flips it where
-    <e_j, e_k> = 1.  Every level but the last appends its upper half above
-    the lower; the last is tallied from both halves with `int.bit_count`,
-    never built.  The form is read only through `basis_values` and
-    `pairing(j, k)` for j < k, once per pair, and each class's q is still
-    determined.  At the rank cap each plane is 64 KiB, and the tracemalloc
-    peak about 0.45 MiB for a standard presentation and 0.5 MiB for a
-    random basis change of one.
+    as one add with carry on whole planes, appended above the lower half.
+    The plane of <v, e_k> is doubled over row k of the form.  The top two
+    vectors a = e_m and b = e_{m+1} are never walked.  The same formula puts
+    each of their cosets u = a, b and a + b over the walked classes v:
+
+        sum_v i^q(v + u) = i^q(u) * sum_v i^(q(v) + 2 <v, u>),
+
+    with q(a + b) = q(a) + q(b) + 2 <a, b>.  The plane of <v, u> is P1, P2
+    or P1 ^ P2, for P1 and P2 the planes of <v, a> and <v, b>, and adding it
+    twice flips `hi` there.  So each coset is tallied from `lo` and
+    `hi ^ P` with two `int.bit_count` calls, and one with a zero plane
+    reuses the tally of the walked classes.  The sum x + iy is divided
+    exactly by 2^(rank/2), or multiplied by sqrt(2) = zeta - zeta^3 over
+    2^((rank+1)/2) for an odd rank.  Every form takes this one path.
+
+    The form is read only through `basis_values` and `pairing(j, k)` for
+    j < k, once per pair, and a pairing value other than 0 or 1 raises
+    ValueError naming the pair.  Each class's q is still determined by the
+    doubling formula.  At the rank cap each plane holds 2^18 classes in
+    32 KiB, and the tracemalloc peak is 0.13-0.17 MiB for a standard
+    presentation and 0.20 MiB for a random basis change of one.
     """
     r = p.rank
     if r > BRUTE_FORCE_RANK_CAP:
         raise ValueError(f"rank {r} exceeds the brute-force cap {BRUTE_FORCE_RANK_CAP}")
     basis = p.basis_values()
-    # Class 0 has q = 0; up_lo and up_hi hold the upper half of the last level.
-    lo = hi = up_lo = up_hi = 0
-    for k in range(r):
-        size = 1 << k
-        full = (1 << size) - 1
-        row = [p.pairing(j, k) for j in range(k)]
-        pair = 0
-        if any(row):
-            for j, bit in enumerate(row):
-                width = 1 << j
-                pair |= (pair ^ ((1 << width) - 1) if bit else pair) << width
-        odd = basis[k] & 1
-        up_lo = lo ^ full if odd else lo
-        up_hi = hi ^ pair ^ (lo if odd else 0) ^ (full if basis[k] & 2 else 0)
-        if k < r - 1:
-            lo |= up_lo << size
-            hi |= up_hi << size
-    # nv counts the classes with q = v; a class with q = 3 is set in both planes.
-    n3 = (lo & hi).bit_count() + (up_lo & up_hi).bit_count()
-    n1 = lo.bit_count() + up_lo.bit_count() - n3
-    n2 = hi.bit_count() + up_hi.bit_count() - n3
-    n0 = (1 << r) - n1 - n2 - n3
-    return CycloNum(n0 - n2, 0, n1 - n3) / SQRT2**r
+    m = max(r - 2, 0)
+    lo, hi = _walk(p, basis, m)
+    n, a = 1 << m, lo.bit_count()
+    walked = _tally(n, a, lo, hi)
+    x, y = walked
+    for q, plane in _top_cosets(p, basis, m):
+        ux, uy = _tally(n, a, lo, hi ^ plane) if plane else walked
+        ux, uy = _turn(q, ux, uy)
+        x, y = x + ux, y + uy
+    if r & 1:
+        # (x + iy) sqrt(2) = (x + y) zeta + (y - x) zeta^3
+        return _canonical(0, x + y, 0, y - x, 1 << ((r + 1) >> 1))
+    return _canonical(x, 0, y, 0, 1 << (r >> 1))
 
 
 def are_equivalent(p1: PinSurfacePresentation, p2: PinSurfacePresentation) -> bool:

@@ -7,8 +7,9 @@ presentation literals for the axiom spec mix up to dim 8 at three alphas,
 `check` up to dim 4, and `eval` of the ribbon diagrams in tests/golden/diagrams
 (both sides of the thirteen move fragments and closed diagrams with left twists
 and the mul/eta macros) on the `check` specs at alphas 1 and -1, and `abk` on one
-presentation literal of each rank 0, 1, 5, 10, 15 and 20.  Diagram files
-are named relative to the repository root, which the corpus runs from.
+presentation literal of each rank 0, 1, 2, 3, 5, 10 and 15 and two of rank 20.
+Diagram files are named relative to the repository root, which the corpus runs
+from.
 
 After an intended change of output, rewrite the corpus with
 
@@ -55,7 +56,7 @@ SURFACES = (
 )
 EVAL_ALPHAS = ("1", "-1")
 # One presentation of each rank 0, 1, 5, 10, 15 and 20 (the brute-force cap),
-# tori and crosscaps mixed.
+# tori and crosscaps mixed, then the records added after them.
 ABK_LITERALS = (
     "g=0,c=0,q=[|]",
     "g=0,c=1,q=[|3]",
@@ -63,6 +64,11 @@ ABK_LITERALS = (
     "g=3,c=4,q=[0,2;2,2;2,0|1,1,3,1]",
     "g=5,c=5,q=[2,2;0,0;2,2;0,2;2,0|3,3,1,3,1]",
     "g=6,c=8,q=[2,2;0,2;2,2;2,0;0,0;2,2|1,3,3,1,1,1,3,1]",
+    # Ranks 2 and 3, where the walk below the two tallied top levels is
+    # empty or one level, and rank 20 with a torus last.
+    "g=1,c=0,q=[2,2|]",
+    "g=1,c=1,q=[0,2|3]",
+    "g=10,c=0,q=[2,2;0,2;2,2;2,0;0,0;2,2;0,0;2,0;0,2;2,2|]",
 )
 
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -62,14 +63,24 @@ def test_q_eval_examples():
         q_eval(klein, (1,))
 
 
-@pytest.mark.parametrize("bad", [2, 3, -1])
+@pytest.mark.parametrize("bad", [2, 3, -1, 1.7, 0.5, 1.0, 0.0, "1", "0"])
 def test_q_eval_rejects_bits_other_than_0_and_1(bad):
+    # Only the ints 0 and 1 are bits: a float or a string is not truncated
+    # or parsed into one.
     rp2 = PinSurfacePresentation((), (1,))
-    with pytest.raises(ValueError, match=f"^bit 0 is {bad}; expected 0 or 1$"):
+    with pytest.raises(ValueError, match=f"^bit 0 is {re.escape(repr(bad))}; expected 0 or 1$"):
         q_eval(rp2, [bad])
     klein = PinSurfacePresentation((), (1, 1))
     with pytest.raises(ValueError, match="bit 1 is"):
         q_eval(klein, (1, bad))
+    with pytest.raises(ValueError, match="bit 0 is"):
+        q_eval(klein, (bad, 0))
+
+
+def test_q_eval_takes_bools_as_bits():
+    klein = PinSurfacePresentation((), (1, 1))
+    assert q_eval(klein, (True, True)) == q_eval(klein, (1, 1)) == 2
+    assert q_eval(klein, (True, False)) == 1
 
 
 def test_q_eval_is_quadratic_exhaustively():
@@ -209,6 +220,32 @@ class MiddleRowsMeetEarlier(PinSurfacePresentation):
         return super().pairing(i, j)
 
 
+class TopTwoMeet(PinSurfacePresentation):
+    """The standard form plus intersections of the top two basis vectors
+    with each other, of both with vector 0 and of the last with vector 1.
+    At rank 4 or more their pairing planes over the lower classes then
+    differ and overlap, and their own pairing is 1 whatever the form below."""
+
+    def pairing(self, i, j):
+        r = self.rank
+        if r >= 4 and {i, j} in ({r - 2, r - 1}, {0, r - 2}, {0, r - 1}, {1, r - 1}):
+            return 1
+        return super().pairing(i, j)
+
+
+class PairingValue(PinSurfacePresentation):
+    """A form whose pairing of one chosen pair of basis vectors is 2."""
+
+    def __init__(self, base, pair):
+        super().__init__(base.torus_q, base.crosscap_q)
+        object.__setattr__(self, "pair", pair)
+
+    def pairing(self, i, j):
+        if (i, j) == self.pair:
+            return 2
+        return super().pairing(i, j)
+
+
 class BasisChange(PinSurfacePresentation):
     """A standard presentation read in the basis f_i = sum_j A_ij e_j, for a
     seeded A invertible over F_2.  q(f_i) is q_eval on row i of A, and the
@@ -289,9 +326,9 @@ def test_abk_takes_the_pairing_path_for_a_row_with_two_entries():
 
 
 def test_abk_carries_the_pairing_below_the_last_level():
-    # Row 3 meets two earlier vectors, so the walk carries the pairing in
-    # before the last level; row 2 meets only vector 0, so it may not be
-    # split in halves as a torus y-cycle is.
+    # Row 3 meets two earlier vectors, so from rank 6 the walk carries the
+    # pairing in below the two tallied top levels; row 2 meets only vector 0,
+    # so it may not be split in halves as a torus y-cycle is.
     changed = 0
     for p in all_presentations(7):
         if p.rank < 5:
@@ -301,6 +338,46 @@ def test_abk_carries_the_pairing_below_the_last_level():
         assert value == direct_gauss_sum(linked), p
         changed += value != abk(p)
     assert changed
+
+
+def test_abk_tallies_the_cosets_of_two_top_vectors_that_meet():
+    # The top two vectors are tallied, not walked: their pairing planes P1
+    # and P2 over the lower classes differ and overlap, so P1 ^ P2 differs
+    # from both, and q(e_{r-2} + e_{r-1}) takes the 2 <e_{r-2}, e_{r-1}> term.
+    changed = 0
+    for p in all_presentations(7):
+        if p.rank < 4:
+            continue
+        linked = TopTwoMeet(p.torus_q, p.crosscap_q)
+        value = abk(linked)
+        assert value == direct_gauss_sum(linked), p
+        changed += value != abk(p)
+    assert changed
+
+
+@pytest.mark.parametrize(
+    "literal, pair",
+    [
+        ("g=0,c=2,q=[|1,1]", (0, 1)),
+        ("g=1,c=3,q=[0,2|1,1,3]", (0, 1)),  # a row of the walk
+        ("g=1,c=3,q=[0,2|1,1,3]", (1, 3)),  # the row of e_{r-2}
+        ("g=1,c=3,q=[0,2|1,1,3]", (2, 4)),  # the row of e_{r-1}
+        ("g=1,c=3,q=[0,2|1,1,3]", (3, 4)),  # the pair e_{r-2}, e_{r-1}
+    ],
+)
+def test_a_pairing_value_other_than_0_and_1_is_refused(literal, pair):
+    # abk and the direct sum over q_eval refuse it alike; read as an int,
+    # 2 gave abk 1 + z^2 on the Klein bottle, which is not a unit, and the
+    # direct sum z^2.
+    p = PairingValue(parse_presentation(literal), pair)
+    message = f"^{re.escape(f'pairing{pair} is 2; expected 0 or 1')}$"
+    with pytest.raises(ValueError, match=message):
+        abk(p)
+    with pytest.raises(ValueError, match=message):
+        direct_gauss_sum(p)
+    bits = [1 if idx in pair else 0 for idx in range(p.rank)]
+    with pytest.raises(ValueError, match=message):
+        q_eval(p, bits)
 
 
 def test_abk_is_invariant_under_basis_changes():
@@ -316,9 +393,10 @@ def test_abk_is_invariant_under_basis_changes():
 
 @pytest.mark.parametrize("seed", range(3))
 def test_abk_memory_on_a_basis_change_at_the_rank_cap(seed):
-    # Each bit plane of the last level holds 2^19 classes in 64 KiB, and
-    # about eight such ints are live at the peak (0.43-0.50 MiB traced); a
-    # walk that keeps a byte per class and a carried copy traced 2.6 MiB.
+    # Each bit plane holds the 2^18 classes below the top two vectors in
+    # 32 KiB, and about six such ints are live at the peak (0.20 MiB traced).
+    # A walk that built the lower half of the last level traced 0.43-0.50
+    # MiB, and one that kept a byte per class and a carried copy 2.6 MiB.
     base = parse_presentation("g=6,c=8,q=[2,2;0,2;2,2;2,0;0,0;2,2|1,3,3,1,1,1,3,1]")
     changed = BasisChange(base, seed)
     tracemalloc.start()
@@ -328,7 +406,7 @@ def test_abk_memory_on_a_basis_change_at_the_rank_cap(seed):
     finally:
         tracemalloc.stop()
     assert value == closed_form_abk(base)
-    assert peak <= 0.75 * (1 << 20)
+    assert peak <= 0.25 * (1 << 20)
 
 
 @pytest.mark.parametrize(
@@ -339,9 +417,10 @@ def test_abk_memory_on_a_basis_change_at_the_rank_cap(seed):
     ],
 )
 def test_abk_memory_at_the_rank_cap(literal):
-    # The last level is tallied, not built, so each bit plane holds 2^19
-    # classes in 64 KiB; a walk that built the whole 1 MiB byte table traced
-    # 2.0 and 3.03 MiB here.
+    # The top two levels are tallied, not built, so each bit plane holds 2^18
+    # classes in 32 KiB (0.17 and 0.13 MiB traced).  A walk that built the
+    # lower half of the last level traced 0.43 and 0.37 MiB here, and one
+    # that built the whole 1 MiB byte table 2.0 and 3.03 MiB.
     p = parse_presentation(literal)
     tracemalloc.start()
     try:
@@ -351,7 +430,7 @@ def test_abk_memory_at_the_rank_cap(literal):
         tracemalloc.stop()
     assert p.rank == 20
     assert value == closed_form_abk(p)
-    assert peak <= 1.5 * (1 << 20)
+    assert peak <= 0.25 * (1 << 20)
 
 
 @pytest.mark.parametrize("rank", range(11, 21))
