@@ -25,7 +25,6 @@ from .linalg import (
     ContractionTooLarge,
     SingularMatrixError,
     delta,
-    dense_from_sparse,
     einsum,
     einsum_slices,
     hermitian_positive_definite,
@@ -356,12 +355,7 @@ def check_unitarity(a: HalfTwistAlgebra) -> AxiomReport:
         CheckStatus("vertex_weight_real", r.is_real(), None if r.is_real() else (), r, r.conjugate())
     )
 
-    gram_sparse = einsum("ac,cb->ab", star, a.cap)
-    gram = dense_from_sparse(gram_sparse, a.dim)
-    hermitian = all(
-        gram[x][y].conjugate() == gram[y][x] for x in range(a.dim) for y in range(a.dim)
-    )
-    pd = hermitian and hermitian_positive_definite(gram)
+    pd = hermitian_positive_definite(einsum("ac,cb->ab", star, a.cap), a.dim)
     report.add(CheckStatus("positive_definite", pd, None if pd else ()))
     return report
 

@@ -511,34 +511,28 @@ def linear_solve(rows, ncols: int) -> list[CycloNum]:
 # -- dense positivity test -----------------------------------------------
 
 
-Matrix = list[list[CycloNum]]
+def hermitian_positive_definite(g: SparseTensor, dim: int) -> bool:
+    """Exact test that the dim x dim matrix g is Hermitian and positive definite.
 
-
-def dense_from_sparse(t: SparseTensor, dim: int) -> Matrix:
-    m = [[ZERO] * dim for _ in range(dim)]
-    for (a, b), v in t.items():
-        m[a][b] = v
-    return m
-
-
-def hermitian_positive_definite(g: Matrix) -> bool:
-    """Exact positive definiteness test via elimination pivots.
-
-    For a Hermitian matrix the leading principal minors are the running
-    products of the pivots produced by symmetric Gaussian elimination, so the
-    matrix is positive definite iff every pivot is real and positive.
+    A matrix that is not Hermitian gives False.  For a Hermitian matrix the
+    leading principal minors are the running products of the pivots produced
+    by symmetric Gaussian elimination, so the matrix is positive definite iff
+    every pivot is real and positive.
     """
-    n = len(g)
-    work = [list(row) for row in g]
-    for k in range(n):
+    if any(g.get((b, a), ZERO) != v.conjugate() for (a, b), v in g.items()):
+        return False
+    work = [[ZERO] * dim for _ in range(dim)]
+    for (a, b), v in g.items():
+        work[a][b] = v
+    for k in range(dim):
         pivot = work[k][k]
         if not pivot.is_real_positive():
             return False
         inv_p = pivot.inverse()
-        for i in range(k + 1, n):
+        for i in range(k + 1, dim):
             f = work[i][k] * inv_p
             if f.is_zero():
                 continue
-            for j in range(k, n):
+            for j in range(k, dim):
                 work[i][j] = work[i][j] - f * work[k][j]
     return True

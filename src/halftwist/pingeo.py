@@ -13,7 +13,8 @@ crosscap values odd.  The normalized Gauss sum
 
     (1/sqrt|H_1|) * sum_x i^{q(x)}
 
-is an eighth root of unity that classifies enhancements up to equivalence.
+is an eighth root of unity which, with the rank and the type of the form,
+classifies enhancements up to equivalence (`are_equivalent`).
 `abk` computes it exactly by brute force, which gives the package an oracle
 for the closed-surface state sums that is independent of any tensor
 contraction.  Up to rank BRUTE_FORCE_RANK_CAP it determines q on every class
@@ -281,18 +282,19 @@ def abk(p: PinSurfacePresentation) -> CycloNum:
 
 
 def are_equivalent(p1: PinSurfacePresentation, p2: PinSurfacePresentation) -> bool:
-    """Equivalence of enhancements on the same underlying surface.
+    """Whether some isometry of Z/2 homology carries one enhancement to the other.
 
-    Presentations with different (genus, crosscaps) are rejected outright:
-    no normalization of homeomorphic but differently presented surfaces is
-    attempted.
+    By Brown's classification of Z/4 enhancements (Kirby-Taylor 1990, §3)
+    that holds exactly when the forms have equal rank, equal type (even on
+    an orientable surface, c = 0, and odd otherwise) and equal Gauss sums.
+    Different connect sums of one surface compare too: g=1,c=1 and g=0,c=3
+    are both the connect sum of three projective planes.
     """
-    if (p1.genus, p1.crosscaps) != (p2.genus, p2.crosscaps):
-        raise ValueError(
-            "presentations live on different connect sums: "
-            f"(g={p1.genus}, c={p1.crosscaps}) vs (g={p2.genus}, c={p2.crosscaps})"
-        )
-    return abk(p1) == abk(p2)
+    return (
+        p1.rank == p2.rank
+        and (p1.crosscaps == 0) == (p2.crosscaps == 0)
+        and abk(p1) == abk(p2)
+    )
 
 
 def dehn_twist_torus(p: PinSurfacePresentation) -> PinSurfacePresentation:

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from itertools import product as iproduct
 
@@ -96,16 +96,19 @@ class DiagramError(ValueError):
 @dataclass(frozen=True)
 class RibbonDiagram:
     """Normalized diagram: input width, elementary (kind, position) steps,
-    and the number of internal triangulation vertices."""
+    and the number of internal triangulation vertices.
+
+    A frozen record, checked once when built: a negative width or power, an
+    unknown generator or an inconsistent chain raises DiagramError.  widths
+    holds the boundary widths before each step and at the top.
+    """
 
     bottom: int
     ops: tuple[tuple[str, int], ...]
     r_power: int = 0
+    widths: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
-    def widths(self) -> list[int]:
-        """Boundary widths before each step and at the top.  Raises
-        DiagramError on a negative width or power, an unknown generator or
-        an inconsistent chain."""
+    def __post_init__(self):
         if self.bottom < 0:
             raise DiagramError(f"negative input width {self.bottom}")
         if self.r_power < 0:
@@ -125,23 +128,18 @@ class RibbonDiagram:
                 )
             w += n_out - n_in
             out.append(w)
-        return out
+        object.__setattr__(self, "widths", tuple(out))
 
     @property
     def top(self) -> int:
-        return self.widths()[-1]
-
-    def validate(self) -> tuple[int, int]:
-        return self.bottom, self.widths()[-1]
+        return self.widths[-1]
 
 
 def compose(d1: RibbonDiagram, d2: RibbonDiagram) -> RibbonDiagram:
     """Stack d2 on top of d1; widths must chain and vertex counts add."""
-    top1 = d1.top
-    d2.validate()
-    if top1 != d2.bottom:
+    if d1.top != d2.bottom:
         raise DiagramError(
-            f"cannot compose: first diagram ends with {top1} strand(s), "
+            f"cannot compose: first diagram ends with {d1.top} strand(s), "
             f"second expects {d2.bottom}"
         )
     return RibbonDiagram(d1.bottom, d1.ops + d2.ops, d1.r_power + d2.r_power)
@@ -241,9 +239,7 @@ def parse(text: str) -> RibbonDiagram:
         width = out_pos
         seen_slice = True
 
-    diagram = RibbonDiagram(bottom or 0, tuple(ops), r_power)
-    diagram.validate()
-    return diagram
+    return RibbonDiagram(bottom or 0, tuple(ops), r_power)
 
 
 class LinearBlock:
@@ -319,7 +315,7 @@ def evaluate(diagram: RibbonDiagram, algebra: HalfTwistAlgebra) -> LinearBlock:
     vertex_weight ** r_power, which is refused past Python's int digit limit
     (_weight_power).
     """
-    n, m = diagram.validate()
+    n, m = diagram.bottom, diagram.top
 
     # Slots of the live boundary: an int marks an input strand not yet bound
     # (by input position), None a live strand whose basis value sits in the
@@ -425,14 +421,15 @@ def _rows(algebra: HalfTwistAlgebra, kind: str, unbound: tuple[bool, ...]):
     other inputs.  Returns (index, n_classes, widest, n_rows): the number
     of distinct weights, the length of the longest list and the number of
     entries.  The index is a view of the algebra's tensors, which never
-    change, so it is built once per (kind, unbound) and kept in the
-    algebra's cache.
+    change, so it is built once per (kind, unbound) and kept by the
+    algebra (HalfTwistAlgebra.cached).
     """
-    cached = algebra._cache.setdefault("ribbon_rows", {})
-    if (kind, unbound) not in cached:
+
+    def build():
         weights = WEIGHTS[kind](algebra)
         live_at = [i for i, u in enumerate(unbound) if not u]
         rows, n_classes = index(weights, key_getter(live_at))
         widest = max(map(len, rows.values()), default=0)
-        cached[kind, unbound] = rows, n_classes, widest, len(weights)
-    return cached[kind, unbound]
+        return rows, n_classes, widest, len(weights)
+
+    return algebra.cached(("ribbon_rows", kind, unbound), build)

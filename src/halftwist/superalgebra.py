@@ -33,9 +33,9 @@ refused before any table is built.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 from itertools import chain, islice
 from operator import add
 
@@ -70,49 +70,51 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True, eq=False, kw_only=True)
 class HalfTwistAlgebra:
     """Basis-indexed tensor data for the pin state sum.
 
-    Instances are immutable by convention once constructed and may be shared
-    freely across threads.  `spec`, when set, is the constructor spec the
-    algebra was built from, grouped so that `parse_algebra` reads it back,
-    but without any @alpha: an algebra at another alpha has the same spec.
+    A frozen record: no field can be rebound, equality is identity, and it
+    may be shared freely across threads.  dim is len(parity), and a crossing
+    left out is the graded swap for parity.  `spec`, when set, is the
+    constructor spec the algebra was built from, grouped so that
+    `parse_algebra` reads it back, but without any @alpha: an algebra at
+    another alpha has the same spec.
     """
 
-    def __init__(
-        self,
-        dim: int,
-        labels: tuple[str, ...],
-        parity: tuple[int, ...],
-        node: SparseTensor,
-        cap: SparseTensor,
-        cup: SparseTensor,
-        crossing: SparseTensor,
-        twist: SparseTensor,
-        vertex_weight: CycloNum,
-        alpha: CycloNum,
-        star: SparseTensor | None = None,
-        spec: str | None = None,
-        generators: tuple[int, ...] | None = None,
-    ):
-        self.dim = dim
-        self.labels = labels
-        self.parity = parity
-        self.node = node
-        self.cap = cap
-        self.cup = cup
-        self.crossing = crossing
-        self.twist = twist
-        self.vertex_weight = vertex_weight
-        self.alpha = alpha
-        self.star = star
-        self.spec = spec
-        self.generators = generators
-        self._cache: dict[str, object] = {}
+    labels: tuple[str, ...]
+    parity: tuple[int, ...]
+    node: SparseTensor
+    cap: SparseTensor
+    cup: SparseTensor
+    # Left out (None), the crossing is the graded swap for parity.
+    crossing: SparseTensor = None  # type: ignore[assignment]
+    twist: SparseTensor
+    vertex_weight: CycloNum
+    alpha: CycloNum
+    star: SparseTensor | None = None
+    spec: str | None = None
+    generators: tuple[int, ...] | None = None
+    dim: int = field(init=False)
+    _cache: dict = field(init=False, default_factory=dict)
+
+    def __post_init__(self):
+        object.__setattr__(self, "dim", len(self.parity))
+        if self.crossing is None:
+            object.__setattr__(self, "crossing", _swap_crossing(self.parity))
 
     def __repr__(self):
         tag = self.spec or "custom"
         return f"HalfTwistAlgebra({tag}, dim={self.dim})"
+
+    def cached(self, key, build):
+        """build() for key, formed on first use and kept, since the tensors
+        never change.  Nothing is kept when build raises."""
+        try:
+            return self._cache[key]
+        except KeyError:
+            value = self._cache[key] = build()
+            return value
 
     # -- elements ---------------------------------------------------------
 
@@ -129,9 +131,7 @@ class HalfTwistAlgebra:
 
     def product_tensor(self) -> SparseTensor:
         """Structure constants m(e_a, e_b) = sum_c M_ab^c e_c."""
-        if "product" not in self._cache:
-            self._cache["product"] = einsum("abd,dc->abc", self.node, self.cup)
-        return self._cache["product"]  # type: ignore[return-value]
+        return self.cached("product", lambda: einsum("abd,dc->abc", self.node, self.cup))
 
     def unit(self) -> "AlgebraElement":
         """The unit R sum_ab B^ab e_a e_b, the state sum of a disk.
@@ -142,17 +142,18 @@ class HalfTwistAlgebra:
         algebra that held one of its own elements would be a reference
         cycle, left for the garbage collector to free.
         """
-        if "unit" not in self._cache:
-            product = self.product_tensor()
-            u = scale(einsum("ab,abx->x", self.cup, product), self.vertex_weight)
-            one = delta(self.dim)
-            if einsum("a,axy->xy", u, product) != one or einsum("a,xay->xy", u, product) != one:
-                raise ValueError(
-                    "R sum_ab B^ab e_a e_b is not a two-sided unit: the algebra "
-                    "is not special (a4)"
-                )
-            self._cache["unit"] = u
-        return AlgebraElement(self, self._cache["unit"])  # type: ignore[arg-type]
+        return AlgebraElement(self, self.cached("unit", self._unit_vector))
+
+    def _unit_vector(self) -> SparseTensor:
+        product = self.product_tensor()
+        u = scale(einsum("ab,abx->x", self.cup, product), self.vertex_weight)
+        one = delta(self.dim)
+        if einsum("a,axy->xy", u, product) != one or einsum("a,xay->xy", u, product) != one:
+            raise ValueError(
+                "R sum_ab B^ab e_a e_b is not a two-sided unit: the algebra "
+                "is not special (a4)"
+            )
+        return u
 
     def counit(self, x: "AlgebraElement") -> CycloNum:
         return self.eta(self.unit(), x)
@@ -162,26 +163,22 @@ class HalfTwistAlgebra:
 
     def full_twist(self) -> SparseTensor:
         """phi_a^b = lam_ac^bd B^ce B_de, the square of the half twist."""
-        if "phi" not in self._cache:
-            self._cache["phi"] = einsum(
-                "acbd,ce,de->ab", self.crossing, self.cup, self.cap
-            )
-        return self._cache["phi"]  # type: ignore[return-value]
+        return self.cached(
+            "phi", lambda: einsum("acbd,ce,de->ab", self.crossing, self.cup, self.cap)
+        )
 
     def nakayama(self) -> SparseTensor:
         """sigma_a^b = B_ac B^bc, the asymmetry of the bilinear form."""
-        if "sigma" not in self._cache:
-            self._cache["sigma"] = einsum("ac,bc->ab", self.cap, self.cup)
-        return self._cache["sigma"]  # type: ignore[return-value]
+        return self.cached("sigma", lambda: einsum("ac,bc->ab", self.cap, self.cup))
 
     def twist_inverse(self) -> SparseTensor:
-        if "twist_inv" not in self._cache:
-            try:
-                inv = mat_invert(self.twist, self.dim)
-            except SingularMatrixError:
-                raise SingularMatrixError("half twist is singular") from None
-            self._cache["twist_inv"] = inv
-        return self._cache["twist_inv"]  # type: ignore[return-value]
+        return self.cached("twist_inv", self._invert_twist)
+
+    def _invert_twist(self) -> SparseTensor:
+        try:
+            return mat_invert(self.twist, self.dim)
+        except SingularMatrixError:
+            raise SingularMatrixError("half twist is singular") from None
 
     def has_swap_crossing(self) -> bool:
         """True iff the crossing is exactly the graded swap for self.parity:
@@ -363,13 +360,11 @@ def _clifford(
     }
 
     return HalfTwistAlgebra(
-        dim=dim,
         labels=tuple(labels),
         parity=tuple(parity),
         node=node,
         cap={(m, m): cap_of[s] for m, s in enumerate(star_sign)},
         cup={(m, m): cup_of[s] for m, s in enumerate(star_sign)},
-        crossing=_swap_crossing(parity),
         twist={(m, m): zeta_pow(p) for m, p in enumerate(phase)},
         vertex_weight=alpha * SQRT2 ** weight_exp,
         alpha=alpha,
@@ -466,13 +461,11 @@ def build_matrix(p: int, q: int, alpha=1) -> HalfTwistAlgebra:
             star[(idx(i, j), idx(j, i))] = ONE
 
     return HalfTwistAlgebra(
-        dim=dim,
         labels=labels,
         parity=parity,
         node=node,
         cap=cap,
         cup=cup,
-        crossing=_swap_crossing(parity),
         twist=twist,
         vertex_weight=alpha * CycloNum(Fraction(1, n)),
         alpha=alpha,
@@ -485,6 +478,18 @@ def build_matrix(p: int, q: int, alpha=1) -> HalfTwistAlgebra:
 def _require_swap(a: HalfTwistAlgebra, what: str):
     if not a.has_swap_crossing():
         raise ValueError(f"{what} requires the graded swap crossing on both inputs")
+
+
+def _combine(a: HalfTwistAlgebra, b: HalfTwistAlgebra, rules) -> dict:
+    """Field f of a combined algebra, rules[f](a.f, b.f), for each field f
+    that rules names; None when a or b has none.  direct_sum and supertensor
+    form node, cap, cup, twist, star and generators this way, and leave the
+    crossing to be the graded swap for the combined parity."""
+    out = {}
+    for f, rule in rules.items():
+        fa, fb = getattr(a, f), getattr(b, f)
+        out[f] = None if fa is None or fb is None else rule(fa, fb)
+    return out
 
 
 def direct_sum(a: HalfTwistAlgebra, b: HalfTwistAlgebra) -> HalfTwistAlgebra:
@@ -505,47 +510,23 @@ def direct_sum(a: HalfTwistAlgebra, b: HalfTwistAlgebra) -> HalfTwistAlgebra:
             f"{a.vertex_weight!r} vs {b.vertex_weight!r}"
         )
     spec = f"{a.spec} (+) {_grouped(b.spec)}" if a.spec and b.spec else None
-    dim = a.dim + b.dim
-    _check_size(dim, spec or "direct sum")
+    off = a.dim
+    _check_size(off + b.dim, spec or "direct sum")
     _require_swap(a, "direct sum")
     _require_swap(b, "direct sum")
-    off = a.dim
-    labels = tuple(f"A.{l}" for l in a.labels) + tuple(f"B.{l}" for l in b.labels)
-    parity = a.parity + b.parity
 
-    def shift(t: SparseTensor) -> SparseTensor:
-        return {tuple(i + off for i in k): v for k, v in t.items()}
+    def shifted_merge(ta: SparseTensor, tb: SparseTensor) -> SparseTensor:
+        return {**ta, **{tuple(i + off for i in k): v for k, v in tb.items()}}
 
-    node = dict(a.node)
-    node.update(shift(b.node))
-    cap = dict(a.cap)
-    cap.update(shift(b.cap))
-    cup = dict(a.cup)
-    cup.update(shift(b.cup))
-    twist = dict(a.twist)
-    twist.update(shift(b.twist))
-    star = None
-    if a.star is not None and b.star is not None:
-        star = dict(a.star)
-        star.update(shift(b.star))
-
-    gens = None
-    if a.generators is not None and b.generators is not None:
-        gens = a.generators + tuple(g + off for g in b.generators)
+    rules = dict.fromkeys(("node", "cap", "cup", "twist", "star"), shifted_merge)
+    rules["generators"] = lambda ga, gb: ga + tuple(g + off for g in gb)
     return HalfTwistAlgebra(
-        dim=dim,
-        labels=labels,
-        parity=parity,
-        node=node,
-        cap=cap,
-        cup=cup,
-        crossing=_swap_crossing(parity),
-        twist=twist,
+        labels=tuple(f"A.{l}" for l in a.labels) + tuple(f"B.{l}" for l in b.labels),
+        parity=a.parity + b.parity,
         vertex_weight=a.vertex_weight,
         alpha=a.alpha,
-        star=star,
         spec=spec,
-        generators=gens,
+        **_combine(a, b, rules),
     )
 
 
@@ -575,13 +556,12 @@ def supertensor(a: HalfTwistAlgebra, b: HalfTwistAlgebra) -> HalfTwistAlgebra:
     if a.spec and b.spec:
         spec = f"{_grouped(a.spec)} (x) {_grouped(b.spec)}"
     db = b.dim
-    dim = a.dim * db
-    _check_size(dim, spec or "supertensor")
+    _check_size(a.dim * db, spec or "supertensor")
     _require_swap(a, "supertensor")
     _require_swap(b, "supertensor")
     pa, pb = a.parity, b.parity
 
-    def kron(ta: SparseTensor, tb: SparseTensor, odd) -> SparseTensor:
+    def kron(odd, ta: SparseTensor, tb: SparseTensor) -> SparseTensor:
         """va * vb at each combined index, negated where odd(ka, kb) is 1.
         Each distinct pair of values is multiplied once."""
         out: SparseTensor = {}
@@ -601,39 +581,28 @@ def supertensor(a: HalfTwistAlgebra, b: HalfTwistAlgebra) -> HalfTwistAlgebra:
     def form_sign(ka, kb):
         return pb[kb[0]] & pa[ka[1]]
 
-    labels = tuple(f"{la}*{lb}" for la in a.labels for lb in b.labels)
-    parity = tuple((u + v) & 1 for u in pa for v in pb)
-    cap = kron(a.cap, b.cap, form_sign)
-    cup = kron(a.cup, b.cup, form_sign)
-    node = kron(
-        a.node,
-        b.node,
-        lambda ka, kb: (pb[kb[0]] & pa[ka[1]]) ^ ((pb[kb[0]] ^ pb[kb[1]]) & pa[ka[2]]),
-    )
-    twist = kron(a.twist, b.twist, lambda ka, kb: 0)
-    star = None
-    if a.star is not None and b.star is not None:
-        star = kron(a.star, b.star, lambda ka, kb: pa[ka[0]] & pb[kb[0]])
+    def generators(ga, gb):
+        gset = {g * db + i for g in ga for i in range(db)}
+        gset |= {x * db + g for x in range(a.dim) for g in gb}
+        return tuple(sorted(gset))
 
-    gens = None
-    if a.generators is not None and b.generators is not None:
-        gset = {g * db + i for g in a.generators for i in range(db)}
-        gset |= {x * db + g for x in range(a.dim) for g in b.generators}
-        gens = tuple(sorted(gset))
+    # The sign rule of each tensor, read off the parities of its legs.
+    signs = {
+        "node": lambda ka, kb: (pb[kb[0]] & pa[ka[1]]) ^ ((pb[kb[0]] ^ pb[kb[1]]) & pa[ka[2]]),
+        "cap": form_sign,
+        "cup": form_sign,
+        "twist": lambda ka, kb: 0,
+        "star": lambda ka, kb: pa[ka[0]] & pb[kb[0]],
+    }
+    rules = {f: partial(kron, odd) for f, odd in signs.items()}
+    rules["generators"] = generators
     return HalfTwistAlgebra(
-        dim=dim,
-        labels=labels,
-        parity=parity,
-        node=node,
-        cap=cap,
-        cup=cup,
-        crossing=_swap_crossing(parity),
-        twist=twist,
+        labels=tuple(f"{la}*{lb}" for la in a.labels for lb in b.labels),
+        parity=tuple((u + v) & 1 for u in pa for v in pb),
         vertex_weight=a.vertex_weight * b.vertex_weight,
         alpha=a.alpha * b.alpha,
-        star=star,
         spec=spec,
-        generators=gens,
+        **_combine(a, b, rules),
     )
 
 
@@ -674,7 +643,6 @@ def custom_from_tensors(
         if len(labels) != dim:
             raise ValueError("labels length does not match parity length")
     return HalfTwistAlgebra(
-        dim=dim,
         labels=labels,
         parity=parity,
         node=_validate_shape(node, 3, dim, "node"),

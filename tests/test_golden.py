@@ -8,8 +8,9 @@ presentation literals for the axiom spec mix up to dim 8 at three alphas,
 (both sides of the thirteen move fragments and closed diagrams with left twists
 and the mul/eta macros) on the `check` specs at alphas 1 and -1, and `abk` on one
 presentation literal of each rank 0, 1, 2, 3, 5, 10 and 15 and two of rank 20.
-Diagram files are named relative to the repository root, which the corpus runs
-from.
+It ends with the argv checks of the installed entry point (ENTRY_POINT): an
+exact Z line, and exit code 2 on input errors.  Diagram files are named
+relative to the repository root, which the corpus runs from.
 
 After an intended change of output, rewrite the corpus with
 
@@ -71,6 +72,19 @@ ABK_LITERALS = (
     "g=10,c=0,q=[2,2;0,2;2,2;2,0;0,0;2,2;0,0;2,0;0,2;2,2|]",
 )
 
+# Argv checks of the installed entry point, kept as records: an @alpha on a
+# parenthesized atom scales that atom only; parentheses nested past the cap
+# (64), a directory given as a diagram, a repeated bottom directive and an
+# empty value in a presentation literal are input errors.  The bad diagram
+# lives outside diagrams/, which `eval` sweeps.
+ENTRY_POINT = (
+    ["--format", "kv", "partition", "(cl(1,0)@alpha=-1) (x) cl(0,1)", "rp2:1"],
+    ["partition", "(" * 100 + "cl(1,0)" + ")" * 100, "rp2:1"],
+    ["eval", "cl(1,0)", "."],
+    ["eval", "cl(1,0)", "tests/golden/invalid_diagrams/bottom_twice.rib"],
+    ["abk", "g=0,c=2,q=[|1,,3]"],
+)
+
 
 def commands():
     for alpha in ALPHAS:
@@ -89,6 +103,7 @@ def commands():
                 yield base + ["eval", spec, path]
     for literal in ABK_LITERALS:
         yield ["--format", "kv", "abk", literal]
+    yield from ENTRY_POINT
 
 
 def record(argv) -> str:

@@ -8,7 +8,7 @@ import pytest
 
 import halftwist
 from halftwist import linalg
-from halftwist.cyclo import ONE, ZERO, CycloNum
+from halftwist.cyclo import I, ONE, ZERO, CycloNum
 from halftwist.linalg import (
     CELL_CEILING,
     ContractionTooLarge,
@@ -603,3 +603,22 @@ def test_results_do_not_depend_on_row_order(seed, nrows, ncols):
     except InconsistentSystemError:
         got = None
     assert got == want
+
+
+@pytest.mark.parametrize(
+    "gram, dim, want",
+    [
+        ({}, 0, True),
+        ({(0, 0): ONE, (1, 1): CycloNum(2)}, 2, True),
+        # Hermitian, with an entry i off the diagonal: pivots 2 and 1/2.
+        ({(0, 0): CycloNum(2), (0, 1): I, (1, 0): -I, (1, 1): ONE}, 2, True),
+        ({(0, 0): ONE, (0, 1): CycloNum(2), (1, 0): CycloNum(2), (1, 1): ONE}, 2, False),
+        ({(0, 0): ONE}, 2, False),  # a zero pivot
+        ({(0, 0): I, (1, 1): ONE}, 2, False),  # a pivot that is not real
+        # Not Hermitian, although every pivot (1, then 1) is positive.
+        ({(0, 0): ONE, (0, 1): ONE, (1, 1): ONE}, 2, False),
+        ({(0, 0): CycloNum(2), (0, 1): I, (1, 0): I, (1, 1): ONE}, 2, False),
+    ],
+)
+def test_hermitian_positive_definite(gram, dim, want):
+    assert linalg.hermitian_positive_definite(gram, dim) is want

@@ -453,8 +453,45 @@ def test_are_equivalent():
     k = lambda a, b: PinSurfacePresentation((), (a, b))
     assert are_equivalent(k(1, 3), k(3, 1))
     assert not are_equivalent(k(1, 1), k(3, 3))
-    with pytest.raises(ValueError, match="different connect sums"):
-        are_equivalent(t(0, 0), k(1, 1))
+    # Presentations of different surfaces, or of one surface as different
+    # connect sums, compare by rank, orientability and abk.
+    assert not are_equivalent(t(0, 0), k(1, 1))
+    assert abk(t(0, 0)) == abk(k(1, 3)) == ONE
+    assert not are_equivalent(t(0, 0), k(1, 3))
+    assert are_equivalent(
+        parse_presentation("g=1,c=1,q=[0,0|1]"), parse_presentation("g=0,c=3,q=[1,1,3]")
+    )
+
+
+def _q_table(p):
+    """q on every class, the class with bit i set holding basis vector i."""
+    return tuple(
+        q_eval(p, [(x >> i) & 1 for i in range(p.rank)]) for x in range(1 << p.rank)
+    )
+
+
+def _isometric_tables(p):
+    """q o phi for every basis change phi in GL(rank, F_2): phi maps basis
+    vector i to the class images[i], and a class to the sum of the images."""
+    n = 1 << p.rank
+    q = _q_table(p)
+    out = set()
+    for images in itertools.product(range(1, n), repeat=p.rank):
+        phi = [0] * n
+        for x in range(1, n):
+            phi[x] = phi[x & (x - 1)] ^ images[(x & -x).bit_length() - 1]
+        if len(set(phi)) == n:
+            out.add(tuple(q[phi[x]] for x in range(n)))
+    return out
+
+
+def test_are_equivalent_matches_an_isometry_search():
+    # p1 and p2 are equivalent when q2 o phi = q1 for some isometry phi.
+    # Brute force over GL(r, F_2) for every pair of rank at most 3.
+    ps = list(all_presentations(3))
+    isometric = {p: _isometric_tables(p) for p in ps}
+    for p1, p2 in itertools.product(ps, repeat=2):
+        assert are_equivalent(p1, p2) == (_q_table(p1) in isometric[p2]), (p1, p2)
 
 
 def test_dehn_twist():

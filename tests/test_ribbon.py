@@ -1,5 +1,6 @@
 import random
 import sys
+from dataclasses import FrozenInstanceError
 from itertools import product as iproduct
 
 import pytest
@@ -31,16 +32,16 @@ def test_parse_projective_plane():
     d = parse(RP2_TEXT)
     assert d.r_power == 1
     assert d.bottom == 0
-    assert d.validate() == (0, 0)
+    assert (d.bottom, d.top) == (0, 0)
     assert d.ops == (("cup", 0), ("t+", 1), ("cap", 0))
 
 
 def test_parse_empty_and_identity():
     empty = parse("")
-    assert empty.validate() == (0, 0)
+    assert (empty.bottom, empty.top) == (0, 0)
     assert evaluate(empty, algebra("cl(1,0)")).scalar() == ONE
     ident = parse("bottom 2\nid id")
-    assert ident.validate() == (2, 2)
+    assert (ident.bottom, ident.top) == (2, 2)
     assert evaluate(ident, algebra("cl(1,0)")) == LinearBlock.identity(2, 2)
 
 
@@ -81,35 +82,39 @@ def test_header_integers_must_be_decimal(text):
 
 
 def test_validate_rejects_bad_programmatic_ops():
-    d = RibbonDiagram(1, (("cap", 0),))
-    with pytest.raises(DiagramError, match="needs 2"):
-        d.validate()
-    d = RibbonDiagram(0, (("cup", 1),))
-    with pytest.raises(DiagramError):
-        d.validate()
-    d = RibbonDiagram(1, (("t+", -1),))
-    with pytest.raises(DiagramError, match="negative"):
-        d.validate()
+    # A hand-built diagram is checked when it is built.
+    with pytest.raises(DiagramError, match="step 0: cap at strand 0 needs 2 strand"):
+        RibbonDiagram(1, (("cap", 0),))
+    with pytest.raises(DiagramError, match="step 0: cup at strand 1 needs 0 strand"):
+        RibbonDiagram(0, (("cup", 1),))
+    with pytest.raises(DiagramError, match="step 0: negative strand position -1"):
+        RibbonDiagram(1, (("t+", -1),))
 
 
+# The fields of a hand-built diagram and the DiagramError it raises when built.
 @pytest.mark.parametrize(
     "diagram, message",
     [
-        (RibbonDiagram(1, (("foo", 0),)), "unknown generator 'foo'"),
-        (RibbonDiagram(-1, ()), "negative input width"),
-        (RibbonDiagram(0, (("cup", 0), ("cap", 0)), r_power=-1), "negative vertex weight power"),
+        ((1, (("foo", 0),)), "unknown generator 'foo'"),
+        ((-1, ()), "negative input width"),
+        ((0, (("cup", 0), ("cap", 0)), -1), "negative vertex weight power"),
     ],
 )
 def test_hand_built_diagrams_are_validated(diagram, message):
     with pytest.raises(DiagramError, match=message):
-        diagram.validate()
-    with pytest.raises(DiagramError, match=message):
-        evaluate(diagram, algebra("cl(1,0)"))
+        RibbonDiagram(*diagram)
 
 
 def test_compose_validates_the_upper_diagram():
     with pytest.raises(DiagramError, match="unknown generator"):
         compose(parse("bottom 1 / t+"), RibbonDiagram(1, (("foo", 0),)))
+
+
+@pytest.mark.parametrize("name", ["bottom", "ops", "r_power", "widths"])
+def test_diagram_fields_cannot_be_rebound(name):
+    d = parse(RP2_TEXT)
+    with pytest.raises(FrozenInstanceError):
+        setattr(d, name, getattr(d, name))
 
 
 def test_projective_plane_values():
@@ -276,7 +281,7 @@ def test_projector_absorption_shape():
     d = parse("R 1\nbottom 1\nt+")
     dd = compose(d, d)
     assert dd.r_power == 2
-    assert dd.validate() == (1, 1)
+    assert (dd.bottom, dd.top) == (1, 1)
 
 
 def test_evaluate_matches_block_composition():
@@ -381,7 +386,7 @@ def test_binding_inside_a_step_matches_dense_steps(spec, text):
     a = algebra(spec)
     d = parse(text)
     want = LinearBlock.identity(d.bottom, a.dim)
-    for (kind, pos), width in zip(d.ops, d.widths()):
+    for (kind, pos), width in zip(d.ops, d.widths):
         want = want.then(step_block(a, kind, pos, width))
     assert evaluate(d, a) == want
 
@@ -438,7 +443,7 @@ def test_distinct_weights_form_one_product_per_term(monkeypatch):
     for text in ("bottom 3 / id t+ id / node", "bottom 2 / id cup id / x x / cap cap"):
         d = parse(text)
         want = LinearBlock.identity(d.bottom, a.dim)
-        for (kind, pos), width in zip(d.ops, d.widths()):
+        for (kind, pos), width in zip(d.ops, d.widths):
             want = want.then(step_block(a, kind, pos, width))
         # Only the evaluation's own steps are recorded, not the joins of then.
         with monkeypatch.context() as patched:

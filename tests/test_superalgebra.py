@@ -2,6 +2,7 @@ import gc
 import hashlib
 import random
 import re
+from dataclasses import FrozenInstanceError, fields
 from fractions import Fraction
 from math import prod
 
@@ -187,6 +188,7 @@ def test_has_swap_crossing_checks_in_place(monkeypatch):
     ]
     for crossing in broken:
         a = _with_crossing(base, crossing)
+        assert a.crossing == crossing and a.dim == len(a.parity)
         assert not a.has_swap_crossing()
         with pytest.raises(ValueError, match="graded swap crossing"):
             direct_sum(a, base)
@@ -280,6 +282,8 @@ def test_custom_round_trip_and_validation():
     # singular cap is accepted here; rejection is the checker's job
     singular = custom_from_tensors({}, {(0, 0): ZERO}, {}, {}, {}, ONE, (0, 1))
     assert singular.dim == 2
+    # A custom algebra keeps the crossing it is given, even an empty one.
+    assert singular.crossing == {}
     # Outside tensors are the one input that may hold zeros; none is stored.
     assert singular.cap == {}
 
@@ -447,6 +451,13 @@ def test_spec_names_the_algebra(spec):
     assert algebra_to_text(parse_algebra(a.spec)) == algebra_to_text(a)
     if spec in GROUPED_SPECS:
         assert a.spec == spec
+    # A constructor's algebra is a frozen record with dim and the crossing
+    # derived from parity.
+    assert a.dim == len(a.parity)
+    assert a.crossing == superalgebra._swap_crossing(a.parity)
+    for f in fields(a):
+        with pytest.raises(FrozenInstanceError):
+            setattr(a, f.name, getattr(a, f.name))
 
 
 @pytest.mark.parametrize(
@@ -509,7 +520,7 @@ def test_serialization_round_trip():
         a = algebra(spec)
         text = algebra_to_text(a)
         b = algebra_from_text(text)
-        assert b.dim == a.dim
+        assert b.dim == a.dim == len(b.parity)
         assert b.labels == a.labels
         assert b.parity == a.parity
         assert b.node == a.node
@@ -521,6 +532,9 @@ def test_serialization_round_trip():
         assert b.vertex_weight == a.vertex_weight
         assert b.alpha == a.alpha
         assert algebra_to_text(b) == text
+        # Read without its lam records, the algebra keeps an empty crossing.
+        no_crossing = "".join(l for l in text.splitlines(True) if not l.startswith("lam "))
+        assert algebra_from_text(no_crossing).crossing == {}
 
 
 def test_unit_requires_a_special_algebra():
@@ -677,7 +691,6 @@ def _reference_clifford(spec, alpha):
                 sign = -sign
             node[(a, b, c)] = sign * form
     return HalfTwistAlgebra(
-        dim=dim,
         labels=tuple(labels),
         parity=parity,
         node=node,
@@ -713,7 +726,6 @@ def _reference_supertensor(a, b):
     gens = {g * db + i for g in a.generators for i in range(db)}
     gens |= {x * db + g for x in range(a.dim) for g in b.generators}
     return HalfTwistAlgebra(
-        dim=a.dim * db,
         labels=tuple(f"{la}*{lb}" for la in a.labels for lb in b.labels),
         parity=parity,
         node=kron(
