@@ -13,6 +13,13 @@ SLICED axioms on a large algebra linalg.einsum_slices, so that each side
 comes one value of its first index at a time.  The operands of each einsum
 stay in the order written, since the planner breaks ties toward the
 leftmost pair.
+
+Where an equation holds one of the algebra's cached derived tensors word
+for word, its entry reads that tensor: the product tensor
+P_abf = C_abe B^ef (product_tensor) in a2, a3 and a4, and the full twist
+phi_a^b = lam_ac^bd B^ce B_de (full_twist) in a7 and a13.  Each is formed
+once per algebra, by the same einsum, so a report does not form it again,
+and a4's right side joins four operands where written out it joins six.
 """
 
 from __future__ import annotations
@@ -55,23 +62,26 @@ def _conj_tensor(t):
 AXIOMS = {
     # B_ac B^cb = delta_a^b
     "a1": ("snake", lambda a, einsum: (einsum("ac,cb->ab", a.cap, a.cup), delta(a.dim))),
-    # C_abd B^dc = B^cd C_dab
+    # P_abc = B^cd C_dab, that is C_abd B^dc = B^cd C_dab
     "a2": ("cyclicity", lambda a, einsum: (
-        einsum("abd,dc->abc", a.node, a.cup),
+        a.product_tensor(),
         einsum("cd,dab->abc", a.cup, a.node),
     )),
-    # C_abe B^ef C_fcd = C_bce B^ef C_afd  (associativity)
+    # P_abf C_fcd = P_bcf C_afd, that is C_abe B^ef C_fcd = C_bce B^ef C_afd
+    # (associativity)
     "a3": ("pachner 2-2", lambda a, einsum: (
-        einsum("abe,ef,fcd->abcd", a.node, a.cup, a.node),
-        einsum("bce,ef,afd->abcd", a.node, a.cup, a.node),
+        einsum("abf,fcd->abcd", a.product_tensor(), a.node),
+        einsum("bcf,afd->abcd", a.product_tensor(), a.node),
     )),
-    # C_abc = R C_ade B^df C_fbg B^gh C_ihc B^ei  (specialness); R rides on
-    # the last cup, and C_abc is an einsum too, so that both sides can be cut.
+    # C_abc = R P_adi B^df P_fbh C_ihc, that is
+    # C_abc = R C_ade B^ei B^df C_fbg B^gh C_ihc  (specialness); R rides on
+    # the cup between the two products, and C_abc is an einsum too, so that
+    # both sides can be cut.
     "a4": ("pachner 3-1", lambda a, einsum: (
         einsum("abc->abc", a.node),
         einsum(
-            "ade,df,fbg,gh,ihc,ei->abc",
-            a.node, a.cup, a.node, a.cup, a.node, scale(a.cup, a.vertex_weight),
+            "adi,df,fbh,ihc->abc",
+            a.product_tensor(), scale(a.cup, a.vertex_weight), a.product_tensor(), a.node,
         ),
     )),
     # B_ae lam_bc^ed = lam_ab^de B_ec
@@ -84,10 +94,10 @@ AXIOMS = {
         einsum("abef,fcd->abcde", a.crossing, a.node),
         einsum("axg,bcxf,fdge->abcde", a.node, a.crossing, a.crossing),
     )),
-    # B^cd B_ce lam_da^eb = lam_ac^bd B^ce B_de
+    # B^cd B_ce lam_da^eb = phi_a^b, that is = lam_ac^bd B^ce B_de
     "a7": ("modified reidemeister I", lambda a, einsum: (
         einsum("cd,ce,daeb->ab", a.cup, a.cap, a.crossing),
-        einsum("acbd,ce,de->ab", a.crossing, a.cup, a.cap),
+        a.full_twist(),
     )),
     # lam_ab^ef lam_ef^cd = delta_a^c delta_b^d
     "a8": ("reidemeister II", lambda a, einsum: (
@@ -114,10 +124,10 @@ AXIOMS = {
         einsum("ae,ebcd->abcd", a.twist, a.crossing),
         einsum("abce,ed->abcd", a.crossing, a.twist),
     )),
-    # tau_a^c tau_c^b = lam_ac^bd B^ce B_de
+    # tau_a^c tau_c^b = phi_a^b, that is = lam_ac^bd B^ce B_de
     "a13": ("two half twists", lambda a, einsum: (
         einsum("ac,cb->ab", a.twist, a.twist),
-        einsum("acbd,ce,de->ab", a.crossing, a.cup, a.cap),
+        a.full_twist(),
     )),
 }
 

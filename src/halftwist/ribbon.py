@@ -98,9 +98,11 @@ class RibbonDiagram:
     """Normalized diagram: input width, elementary (kind, position) steps,
     and the number of internal triangulation vertices.
 
-    A frozen record, checked once when built: a negative width or power, an
-    unknown generator or an inconsistent chain raises DiagramError.  widths
-    holds the boundary widths before each step and at the top.
+    A frozen record, checked once when built: a field of the wrong type
+    raises TypeError, and a negative width or power, an unknown generator or
+    an inconsistent chain raises DiagramError.  bottom and r_power are ints
+    and ops is a tuple of (str, int) pairs.  widths holds the boundary
+    widths before each step and at the top.
     """
 
     bottom: int
@@ -109,16 +111,31 @@ class RibbonDiagram:
     widths: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for name, value in (("bottom", self.bottom), ("r_power", self.r_power)):
+            if not isinstance(value, int):
+                raise TypeError(f"{name} {value!r} is not an int")
+        if not isinstance(self.ops, tuple):
+            raise TypeError(f"ops {self.ops!r} is not a tuple")
         if self.bottom < 0:
             raise DiagramError(f"negative input width {self.bottom}")
         if self.r_power < 0:
             raise DiagramError(f"negative vertex weight power {self.r_power}")
         w = self.bottom
         out = [w]
-        for k, (kind, pos) in enumerate(self.ops):
-            if kind not in ARITY:
-                raise DiagramError(f"step {k}: unknown generator {kind!r}")
-            n_in, n_out = ARITY[kind]
+        for k, step in enumerate(self.ops):
+            if not isinstance(step, tuple) or len(step) != 2:
+                raise _not_a_step(k, step)
+            kind, pos = step
+            # One lookup checks the generator; its type is looked at only
+            # when the lookup fails, so a valid step pays for no more.
+            try:
+                n_in, n_out = ARITY[kind]
+            except (KeyError, TypeError):
+                if not isinstance(kind, str):
+                    raise _not_a_step(k, step) from None
+                raise DiagramError(f"step {k}: unknown generator {kind!r}") from None
+            if not isinstance(pos, int):
+                raise _not_a_step(k, step)
             if pos < 0:
                 raise DiagramError(f"step {k}: negative strand position {pos}")
             if pos + n_in > w:
@@ -133,6 +150,10 @@ class RibbonDiagram:
     @property
     def top(self) -> int:
         return self.widths[-1]
+
+
+def _not_a_step(k: int, step) -> TypeError:
+    return TypeError(f"ops step {k} {step!r} is not a (str, int) pair")
 
 
 def compose(d1: RibbonDiagram, d2: RibbonDiagram) -> RibbonDiagram:

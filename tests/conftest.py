@@ -25,6 +25,42 @@ AXIOM_SUITE_SPECS = tuple(
 )
 
 
+# The oracle for the axiom entries that read the algebra's cached product
+# tensor P_abf = C_abe B^ef or full twist phi_a^b = lam_ac^bd B^ce B_de: the
+# same identities with every tensor written out as an einsum of the weights,
+# as id -> sides(a, einsum) in the form of axioms.AXIOMS.
+WRITTEN_OUT_AXIOMS = {
+    # C_abd B^dc = B^cd C_dab
+    "a2": lambda a, einsum: (
+        einsum("abd,dc->abc", a.node, a.cup),
+        einsum("cd,dab->abc", a.cup, a.node),
+    ),
+    # C_abe B^ef C_fcd = C_bce B^ef C_afd
+    "a3": lambda a, einsum: (
+        einsum("abe,ef,fcd->abcd", a.node, a.cup, a.node),
+        einsum("bce,ef,afd->abcd", a.node, a.cup, a.node),
+    ),
+    # C_abc = R C_ade B^df C_fbg B^gh C_ihc B^ei, R on the last cup
+    "a4": lambda a, einsum: (
+        einsum("abc->abc", a.node),
+        einsum(
+            "ade,df,fbg,gh,ihc,ei->abc",
+            a.node, a.cup, a.node, a.cup, a.node, scale(a.cup, a.vertex_weight),
+        ),
+    ),
+    # B^cd B_ce lam_da^eb = lam_ac^bd B^ce B_de
+    "a7": lambda a, einsum: (
+        einsum("cd,ce,daeb->ab", a.cup, a.cap, a.crossing),
+        einsum("acbd,ce,de->ab", a.crossing, a.cup, a.cap),
+    ),
+    # tau_a^c tau_c^b = lam_ac^bd B^ce B_de
+    "a13": lambda a, einsum: (
+        einsum("ac,cb->ab", a.twist, a.twist),
+        einsum("acbd,ce,de->ab", a.crossing, a.cup, a.cap),
+    ),
+}
+
+
 @functools.lru_cache(maxsize=None)
 def algebra(spec: str, alpha: str = "1"):
     """Cached constructor-algebra factory; algebras are never mutated."""

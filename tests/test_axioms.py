@@ -1,4 +1,6 @@
+import random
 import tracemalloc
+from itertools import product
 
 import pytest
 
@@ -18,9 +20,9 @@ from halftwist import (
     parse_algebra,
 )
 from halftwist import axioms, linalg
-from halftwist.axioms import AXIOM_IDS, CheckStatus
-from halftwist.linalg import CELL_CEILING, ContractionTooLarge
-from conftest import AXIOM_SUITE_SPECS, algebra
+from halftwist.axioms import AXIOM_IDS, AXIOMS, CheckStatus
+from halftwist.linalg import CELL_CEILING, ContractionTooLarge, einsum
+from conftest import AXIOM_SUITE_SPECS, WRITTEN_OUT_AXIOMS, algebra
 
 CONSTRUCTOR_SPECS = (
     "cl(0,0)",
@@ -94,6 +96,46 @@ def _mutant(base, attr, key, value):
         alpha=base.alpha,
         **tensors,
     )
+
+
+def single_entry_mutants(base, empty_keys=16):
+    """(label, mutant) for each weight tensor of base: every nonzero entry
+    doubled, and every empty key set to 1, or a seeded sample of empty_keys
+    of them where there are more."""
+    rng = random.Random(base.spec)
+    for attr, rank in (("node", 3), ("cap", 2), ("cup", 2), ("crossing", 4), ("twist", 2)):
+        table = getattr(base, attr)
+        empty = [k for k in product(range(base.dim), repeat=rank) if k not in table]
+        if len(empty) > empty_keys:
+            empty = rng.sample(empty, empty_keys)
+        for key in [*table, *empty]:
+            yield f"{attr}{key}", _mutant(base, attr, key, table[key] * 2 if key in table else ONE)
+
+
+def assert_sides_match_written_out(a, label):
+    for which, written_out in WRITTEN_OUT_AXIOMS.items():
+        assert AXIOMS[which][1](a, einsum) == written_out(a, einsum), (label, which)
+
+
+@pytest.mark.parametrize("alpha", ["1", "-1", "1/3"])
+@pytest.mark.parametrize("spec", AXIOM_SUITE_SPECS)
+def test_cached_tensor_sides_match_written_out(spec, alpha):
+    # a2, a3, a4, a7 and a13 read the cached product tensor and full twist;
+    # each side equals the einsum of the weights it stands for.
+    assert_sides_match_written_out(algebra(spec, alpha), spec)
+
+
+@pytest.mark.parametrize("spec", ["cl(1,0)", "cl(0,1)", "clc(0)", "cl(1,1)"])
+def test_cached_tensor_sides_match_written_out_on_mutants(monkeypatch, spec):
+    # On each single-entry mutant the sides match, and full_report gives
+    # the same statuses, witnesses and values through either table.
+    for label, bad in single_entry_mutants(algebra(spec)):
+        assert_sides_match_written_out(bad, label)
+        statuses = full_report(bad).statuses
+        with monkeypatch.context() as m:
+            for which, written_out in WRITTEN_OUT_AXIOMS.items():
+                m.setitem(AXIOMS, which, (AXIOMS[which][0], written_out))
+            assert full_report(bad).statuses == statuses, label
 
 
 def test_planted_twist_fault_hits_a13():

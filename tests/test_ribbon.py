@@ -105,6 +105,27 @@ def test_hand_built_diagrams_are_validated(diagram, message):
         RibbonDiagram(*diagram)
 
 
+# Fields of the wrong type and the TypeError, naming the field, that they
+# raise when built.  Unchecked, the float of the first would fail only
+# inside evaluate, and the list of the second only at hash().
+@pytest.mark.parametrize(
+    "diagram, message",
+    [
+        ((1.0, (("t+", 0),)), r"bottom 1\.0 is not an int"),
+        ((1, [("t+", 0)]), r"ops \[\('t\+', 0\)\] is not a tuple"),
+        ((1, (("t+", 0),), "1"), "r_power '1' is not an int"),
+        ((1, (("t+", 0.0),)), r"ops step 0 \('t\+', 0\.0\) is not a \(str, int\) pair"),
+        ((1, (("t+", 0), (0, 0))), r"ops step 1 \(0, 0\) is not a \(str, int\) pair"),
+        ((1, ((["t+"], 0),)), r"ops step 0 \(\['t\+'\], 0\) is not a \(str, int\) pair"),
+        ((1, (["t+", 0],)), r"ops step 0 \['t\+', 0\] is not a \(str, int\) pair"),
+        ((1, (("t+", 0, 0),)), r"ops step 0 \('t\+', 0, 0\) is not a \(str, int\) pair"),
+    ],
+)
+def test_hand_built_diagrams_refuse_wrong_types(diagram, message):
+    with pytest.raises(TypeError, match=message):
+        RibbonDiagram(*diagram)
+
+
 def test_compose_validates_the_upper_diagram():
     with pytest.raises(DiagramError, match="unknown generator"):
         compose(parse("bottom 1 / t+"), RibbonDiagram(1, (("foo", 0),)))
