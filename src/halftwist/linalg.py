@@ -11,17 +11,14 @@ the spec: at each step every pair of remaining operands competes on the exact
 number of terms its join forms, the sum over shared-index keys of
 |bucket_1| * |bucket_2|, or |t1| * |t2| for an outer product.  The fewest
 terms win; an outer product loses a tie to a join over shared letters, and
-remaining ties go to the leftmost pair.  A pair's count is kept across
-steps, since a join changes neither operand of a pair it does not touch:
-after each join only the pairs that hold the joined operand are counted.
-The plan depends on the operands' letters and entries alone, so an identity
-can be written exactly as its equation reads and still be contracted
-cheaply.  Each distinct spec is split and validated once.  Before each join
-the term count is checked against CELL_CEILING, the same ceiling
-ribbon.evaluate puts on its boundary tables; a join over it raises
-ContractionTooLarge before any of it is built.  When two operands remain
-there is nothing to choose, so their terms are counted only if |t1| * |t2|,
-which bounds them, passes the ceiling.
+remaining ties go to the leftmost pair.  The plan depends on the operands'
+letters and entries alone, so an identity can be written exactly as its
+equation reads and still be contracted cheaply.  Each distinct spec is split
+and validated once.  Before each join the term count is checked against
+CELL_CEILING, the same ceiling ribbon.evaluate puts on its boundary tables; a
+join over it raises ContractionTooLarge before any of it is built.  When two
+operands remain there is nothing to choose, so their terms are counted only
+if |t1| * |t2|, which bounds them, passes the ceiling.
 
 Each join is a hash join: the operand with fewer entries is indexed on the
 shared letters and the other probes that index, so the work is the size of
@@ -162,16 +159,14 @@ def _contract(spec: str, ops: list, out_idx: str, repeats: int = 1):
 
     ops lists each operand as (tensor, letters, sliced), where sliced marks
     the one slice of einsum_slices' cut operand, or nothing for einsum.
-    Joins the pair _next_pair picks until one operand is left, keeping the
-    term counts of the pairs a join leaves untouched, and returns
+    Joins the pair _next_pair picks until one operand is left, and returns
     (that operand over out_idx, steps): steps holds each join that took in
     the slice, as a _slice_step that later slices replay in order; the
     result of such a join is itself sliced.
     """
     steps = []
-    terms: dict = {}
     while len(ops) > 1:
-        i, j = _next_pair(spec, ops, terms, repeats)
+        i, j = _next_pair(spec, ops, repeats)
         (t1, i1, s1), (t2, i2, s2) = ops[i], ops[j]
         last = out_idx if len(ops) == 2 else None
         if s1 or s2:
@@ -181,13 +176,6 @@ def _contract(spec: str, ops: list, out_idx: str, repeats: int = 1):
             joined = _join(t1, i1, t2, i2, last)
         ops[i] = (*joined, s1 or s2)
         del ops[j]
-        # A pair that holds neither i nor j keeps its count, at its new
-        # positions; the pairs of the joined operand are counted afresh.
-        terms = {
-            (p - (p > j), q - (q > j)): count
-            for (p, q), count in terms.items()
-            if p != i and p != j and q != i and q != j
-        }
     return _permuted(*ops[0][:2], out_idx), steps
 
 
@@ -216,27 +204,21 @@ def _slice_step(spec: str, t1, i1, t2, i2, out_idx, first: bool):
     return step
 
 
-def _next_pair(spec: str, ops, terms: dict, repeats: int = 1) -> tuple[int, int]:
+def _next_pair(spec: str, ops, repeats: int = 1) -> tuple[int, int]:
     """Positions of the pair of operands to join next, by the rule in the
-    module docstring.  terms maps each pair of positions already counted to
-    (its terms as weighed in the choice, is_outer, its terms); _contract
-    keeps it across steps, so only the pairs of a newly joined operand are
-    counted here.  A join that takes in the sliced operand is formed
-    repeats times, so its terms weigh that many times in the choice.  Two
+    module docstring.  A join that takes in the sliced operand is formed
+    repeats times, so its terms count that many times in the choice.  Two
     operands leave one pair, whose terms |t1| * |t2| bounds; they are
     counted exactly only when there is a choice or the bound passes the
     ceiling.  Raises ContractionTooLarge when the chosen join would form
     more than CELL_CEILING terms."""
     if len(ops) == 2 and len(ops[0][0]) * len(ops[1][0]) <= CELL_CEILING:
         return 0, 1
-    for i, (t1, i1, s1) in enumerate(ops):
-        for j in range(i + 1, len(ops)):
-            if (i, j) not in terms:
-                t2, i2, s2 = ops[j]
-                n, is_outer = _join_terms(t1, i1, t2, i2)
-                terms[i, j] = (n * repeats if s1 or s2 else n, is_outer, n)
-    _, _, (i, j), n_terms = min(
-        (weighed, is_outer, pair, n) for pair, (weighed, is_outer, n) in terms.items()
+    _, _, i, j, n_terms = min(
+        (n * (repeats if ops[i][2] or ops[j][2] else 1), is_outer, i, j, n)
+        for i in range(len(ops))
+        for j in range(i + 1, len(ops))
+        for n, is_outer in [_join_terms(*ops[i][:2], *ops[j][:2])]
     )
     if n_terms > CELL_CEILING:
         raise _too_large(spec, n_terms)
@@ -284,18 +266,12 @@ def _join_terms(t1, i1, t2, i2) -> tuple[int, bool]:
     """(terms, is_outer) of joining t1, over letters i1, with t2, over i2.
     terms is the exact number of products the join forms: the sum over keys
     of the shared letters of |bucket_1| * |bucket_2|, or |t1| * |t2| for an
-    outer product.  It is counted as the size of the smaller operand's
-    bucket on each key of the larger one, summed over the larger one's
-    entries; the buckets are tallied in a plain dict, which for the few
-    entries of most operands costs less than building a Counter."""
+    outer product.  It is counted as the size of t2's bucket on each of
+    t1's keys, summed over t1's entries."""
     common, key1, key2 = _join_layout(i1, i2, None)[:3]
     if not common:
         return len(t1) * len(t2), True
-    if len(t1) < len(t2):
-        t1, key1, t2, key2 = t2, key2, t1, key1
-    bucket_sizes: dict = {}
-    for k in map(key2, t2):
-        bucket_sizes[k] = bucket_sizes.get(k, 0) + 1
+    bucket_sizes = Counter(map(key2, t2))
     return sum(map(bucket_sizes.get, map(key1, t1), repeat(0))), False
 
 

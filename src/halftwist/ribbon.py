@@ -123,19 +123,17 @@ class RibbonDiagram:
         w = self.bottom
         out = [w]
         for k, step in enumerate(self.ops):
-            if not isinstance(step, tuple) or len(step) != 2:
-                raise _not_a_step(k, step)
+            if not (
+                isinstance(step, tuple)
+                and len(step) == 2
+                and isinstance(step[0], str)
+                and isinstance(step[1], int)
+            ):
+                raise TypeError(f"ops step {k} {step!r} is not a (str, int) pair")
             kind, pos = step
-            # One lookup checks the generator; its type is looked at only
-            # when the lookup fails, so a valid step pays for no more.
-            try:
-                n_in, n_out = ARITY[kind]
-            except (KeyError, TypeError):
-                if not isinstance(kind, str):
-                    raise _not_a_step(k, step) from None
-                raise DiagramError(f"step {k}: unknown generator {kind!r}") from None
-            if not isinstance(pos, int):
-                raise _not_a_step(k, step)
+            if kind not in ARITY:
+                raise DiagramError(f"step {k}: unknown generator {kind!r}")
+            n_in, n_out = ARITY[kind]
             if pos < 0:
                 raise DiagramError(f"step {k}: negative strand position {pos}")
             if pos + n_in > w:
@@ -150,10 +148,6 @@ class RibbonDiagram:
     @property
     def top(self) -> int:
         return self.widths[-1]
-
-
-def _not_a_step(k: int, step) -> TypeError:
-    return TypeError(f"ops step {k} {step!r} is not a (str, int) pair")
 
 
 def compose(d1: RibbonDiagram, d2: RibbonDiagram) -> RibbonDiagram:

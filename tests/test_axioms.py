@@ -113,22 +113,26 @@ def single_entry_mutants(base, empty_keys=16):
 
 
 def assert_sides_match_written_out(a, label):
-    for which, written_out in WRITTEN_OUT_AXIOMS.items():
-        assert AXIOMS[which][1](a, einsum) == written_out(a, einsum), (label, which)
+    # a2, a7 and a13 read product_tensor and full_twist, which are formed by
+    # the very einsums written out, so only a3's and a4's equations differ.
+    for which in ("a3", "a4"):
+        sides = AXIOMS[which][1](a, einsum)
+        assert sides == WRITTEN_OUT_AXIOMS[which](a, einsum), (label, which)
 
 
 @pytest.mark.parametrize("alpha", ["1", "-1", "1/3"])
 @pytest.mark.parametrize("spec", AXIOM_SUITE_SPECS)
 def test_cached_tensor_sides_match_written_out(spec, alpha):
-    # a2, a3, a4, a7 and a13 read the cached product tensor and full twist;
-    # each side equals the einsum of the weights it stands for.
+    # a3 and a4 contract the cached product tensor; each side equals the
+    # einsum of the weights it stands for.
     assert_sides_match_written_out(algebra(spec, alpha), spec)
 
 
 @pytest.mark.parametrize("spec", ["cl(1,0)", "cl(0,1)", "clc(0)", "cl(1,1)"])
 def test_cached_tensor_sides_match_written_out_on_mutants(monkeypatch, spec):
-    # On each single-entry mutant the sides match, and full_report gives
-    # the same statuses, witnesses and values through either table.
+    # On each single-entry mutant a3's and a4's sides match, and full_report
+    # gives the same statuses, witnesses and values through either table of
+    # all five entries.
     for label, bad in single_entry_mutants(algebra(spec)):
         assert_sides_match_written_out(bad, label)
         statuses = full_report(bad).statuses

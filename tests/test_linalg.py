@@ -295,63 +295,32 @@ def test_a4_never_builds_more_than_dim_cubed(monkeypatch):
     assert max(sizes) <= a.dim**3 == 4096
 
 
-def recounted_plan_joins(spec, *tensors, sliced=False):
+def old_plan_joins(spec, *tensors):
     """The letters of each join the planner's rule makes, written out on
-    its own: every remaining pair's terms counted afresh at every step by
-    tuple keys, and the fewest terms win, then a shared letter, then the
-    leftmost pair.  Sliced, the operand that carries the first output
-    letter is cut to its first slice, and a join that takes in the slice
-    weighs its terms once per slice, as in einsum_slices."""
+    its own: every remaining pair's terms counted at every step by tuple
+    keys, and the fewest terms win, then a shared letter, then the leftmost
+    pair."""
     idx_lists, out_idx = linalg._parse_spec(spec, len(tensors))
-    ops = [(t, idx, False) for t, idx in zip(tensors, idx_lists)]
-    repeats = 1
-    if sliced:
-        cut = next(n for n, idx in enumerate(idx_lists) if out_idx[0] in idx)
-        pos = idx_lists[cut].index(out_idx[0])
-        values = sorted({k[pos] for k in tensors[cut]})
-        repeats = len(values)
-        first = {k: v for k, v in tensors[cut].items() if k[pos] == values[0]}
-        ops[cut] = (first, idx_lists[cut], True)
+    ops = list(zip(tensors, idx_lists))
     joins = []
     while len(ops) > 1:
         candidates = []
         for i in range(len(ops)):
             for j in range(i + 1, len(ops)):
-                (t1, i1, s1), (t2, i2, s2) = ops[i], ops[j]
+                (t1, i1), (t2, i2) = ops[i], ops[j]
                 common = [c for c in i1 if c in i2]
-                if common:
-                    c1 = Counter(tuple(k[i1.index(c)] for c in common) for k in t1)
-                    c2 = Counter(tuple(k[i2.index(c)] for c in common) for k in t2)
-                    terms = sum(n * c2[k] for k, n in c1.items())
-                else:
-                    terms = len(t1) * len(t2)
-                weight = repeats if s1 or s2 else 1
-                candidates.append((terms * weight, not common, i, j))
+                if not common:
+                    candidates.append((len(t1) * len(t2), True, i, j))
+                    continue
+                c1 = Counter(tuple(k[i1.index(c)] for c in common) for k in t1)
+                c2 = Counter(tuple(k[i2.index(c)] for c in common) for k in t2)
+                terms = sum(n * c2[k] for k, n in c1.items())
+                candidates.append((terms, False, i, j))
         _, _, i, j = min(candidates)
-        (t1, i1, s1), (t2, i2, s2) = ops[i], ops[j]
         last = out_idx if len(ops) == 2 else None
-        joins.append((i1, i2, last))
-        ops[i] = (*linalg._join(t1, i1, t2, i2, last), s1 or s2)
+        joins.append((ops[i][1], ops[j][1], last))
+        ops[i] = linalg._join(*ops[i], *ops[j], last)
         del ops[j]
-    return joins
-
-
-def recorded_joins(monkeypatch):
-    """The list that the letters (i1, i2, out_idx) of each _join and each
-    _slice_step are appended to from here on, in the order they are made."""
-    joins = []
-    join, slice_step = linalg._join, linalg._slice_step
-
-    def recording_join(t1, i1, t2, i2, out_idx=None):
-        joins.append((i1, i2, out_idx))
-        return join(t1, i1, t2, i2, out_idx)
-
-    def recording_slice_step(spec, t1, i1, t2, i2, out_idx, first):
-        joins.append((i1, i2, out_idx))
-        return slice_step(spec, t1, i1, t2, i2, out_idx, first)
-
-    monkeypatch.setattr(linalg, "_join", recording_join)
-    monkeypatch.setattr(linalg, "_slice_step", recording_slice_step)
     return joins
 
 
@@ -379,47 +348,17 @@ def test_planner_keeps_the_join_sequence(monkeypatch, spec, operands, name):
     # The planner chooses the same joins, in the same order and with the
     # same letters, as the rule written out on its own.
     ops = operands(algebra(name))
-    want = recounted_plan_joins(spec, *ops)
-    joins = recorded_joins(monkeypatch)
+    want = old_plan_joins(spec, *ops)
+    joins = []
+    join = linalg._join
+
+    def recording_join(t1, i1, t2, i2, out_idx=None):
+        joins.append((i1, i2, out_idx))
+        return join(t1, i1, t2, i2, out_idx)
+
+    monkeypatch.setattr(linalg, "_join", recording_join)
     assert einsum(spec, *ops) == left_to_right(spec, *ops)
     assert joins == want
-
-
-# Networks of four, five and six operands, where the counts kept from one
-# step to the next decide the later joins.
-KEPT_COUNT_SPECS = [
-    "ab,bxcd,cdf,afy->xy",
-    "ad,be,defg,fgc->abc",
-    "adi,df,fbh,ihc->abc",
-    "ax,by,xyuv,up,vq->abpq",
-    "ade,df,fbg,gh,ihc,ei->abc",
-]
-
-
-@pytest.mark.parametrize("spec", KEPT_COUNT_SPECS)
-def test_kept_counts_plan_as_a_fresh_recount(monkeypatch, spec):
-    # On random operands of mixed sizes, whole and sliced, the planner that
-    # counts only the joined operand's pairs makes the same joins, in the
-    # same order and with the same letters, as one that counts every pair
-    # at every step.
-    rng = random.Random(spec)
-    idx_lists, out_idx = linalg._parse_spec(spec, spec.count(",") + 1)
-    joins = recorded_joins(monkeypatch)
-    for _ in range(40):
-        extent = rng.choice((2, 3))
-        tensors = [
-            random_tensor(rng, len(s), extent, rng.choice((0.2, 0.5, 0.9))) for s in idx_lists
-        ]
-        want = recounted_plan_joins(spec, *tensors)
-        joins.clear()
-        assert einsum(spec, *tensors) == left_to_right(spec, *tensors)
-        assert joins == want
-        if not next(t for t, s in zip(tensors, idx_lists) if out_idx[0] in s):
-            continue  # an empty cut operand leaves no slice to plan on
-        want = recounted_plan_joins(spec, *tensors, sliced=True)
-        joins.clear()
-        list(einsum_slices(spec, *tensors))
-        assert joins == want
 
 
 def test_element_product_joins_the_elements_first(monkeypatch):
