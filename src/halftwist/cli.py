@@ -27,7 +27,7 @@ import sys
 from functools import cache
 
 from .axioms import full_report
-from .cyclo import CycloNum, zeta_pow
+from .cyclo import CycloNum, zeta_log
 from .pingeo import abk, parse_presentation, render_presentation
 from .ribbon import DiagramError, evaluate, parse
 from .superalgebra import parse_algebra
@@ -46,10 +46,8 @@ def _decimal(z: CycloNum) -> str:
 
 
 def _root_label(z: CycloNum) -> str | None:
-    for k in range(8):
-        if z == zeta_pow(k):
-            return f"ABK^{k}"
-    return None
+    k = zeta_log(z)
+    return None if k is None else f"ABK^{k}"
 
 
 @cache

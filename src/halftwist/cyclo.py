@@ -19,11 +19,15 @@ Useful constants inside the field:
 The representation is canonical: gcd(n0, n1, n2, n3, d) = 1 with d > 0, so
 zero is (0, 0, 0, 0, 1) and two values are equal iff their five ints agree.
 Equality tests are exact and there is no tolerance anywhere in the package.
+
+Literals name zeta as z: parse() reads terms RATIONAL, RATIONAL*z^k or z^k
+joined by + or -, such as render()'s c0 + c1*z + c2*z^2 + c3*z^3.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from math import gcd, isqrt, lcm, sqrt as _fsqrt
 
@@ -35,11 +39,14 @@ __all__ = [
     "I",
     "SQRT2",
     "zeta_pow",
+    "zeta_log",
     "rational_sqrt",
     "real_sqrt",
 ]
 
 _ZERO_V = (0, 0, 0, 0, 1)
+# Python 3.10 before 3.10.7 puts no limit on the digits of an int.
+_int_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
 def _lattice(x) -> tuple[int, int, int, int, int] | None:
@@ -180,18 +187,28 @@ class CycloNum:
         return CycloNum.coerce(other) * self.inverse()
 
     def __pow__(self, exp: int) -> "CycloNum":
+        """self ** exp by squaring, no further than exp's last bit; a negative
+        exp inverts first.  Refused with ValueError as soon as an int of a
+        partial power has more digits than Python writes as text (no check when
+        sys.get_int_max_str_digits() is 0): such a power could not be
+        printed, and squaring on past it exhausts memory."""
         if not isinstance(exp, int):
             raise TypeError("exponent must be an integer")
         if exp < 0:
             return self.inverse() ** (-exp)
-        result = ONE
-        base = self
-        while exp:
-            if exp & 1:
-                result = result * base
-            base = base * base
-            exp >>= 1
-        return result
+        limit = _int_max_str_digits()
+        # No int of a power up to self ** exp has more than exp * (b + 2)
+        # bits, b the widest of self's: within 3.32 * limit, none is checked.
+        if exp * (max(map(int.bit_length, self._v)) + 2) <= 3.32 * limit:
+            limit = 0
+        result, base, rest = ONE, self, exp
+        while True:
+            if rest & 1:
+                result = _within(limit, result * base)
+            rest >>= 1
+            if not rest:
+                return result
+            base = _within(limit, base * base)
 
     def conjugate(self) -> "CycloNum":
         """Complex conjugation, zeta -> zeta^(-1) = -zeta^3."""
@@ -262,34 +279,31 @@ class CycloNum:
 
     @staticmethod
     def parse(text: str) -> "CycloNum":
-        """Parse a cyclotomic literal.
+        """Parse a cyclotomic literal: terms joined by + or -.
 
-        Accepts the canonical full form produced by render() as well as
-        compact spellings such as "1", "-1/2", "z^3", "1/2*z^2 - z", or
-        "z-z^3" (which is sqrt(2)).
+        A term is RATIONAL, RATIONAL*z^k or z^k (z alone is z^1), with k >= 0
+        read mod 8; a RATIONAL may carry its own minus, and the first term
+        may be led by a sign.  So the canonical full form produced by render()
+        parses, as do compact spellings such as "1", "-1/2", "z^3",
+        "1/2*z^2 - z", "z-z^3" (which is sqrt(2)) and "z-z^3-1".
         """
-        tokens = _scan_literal(text)
-        if not tokens:
+        if not text.strip():
             raise ValueError("empty cyclotomic literal")
         coeffs = [Fraction(0)] * 4
         pos = 0
-        sign = 1
-        first = True
-        while pos < len(tokens):
-            tok = tokens[pos]
-            if tok in ("+", "-"):
-                sign = 1 if tok == "+" else -1
-                pos += 1
-                if pos >= len(tokens):
-                    raise ValueError(f"dangling sign in literal {text!r}")
-            elif not first:
-                raise ValueError(f"missing '+' or '-' before term in {text!r}")
-            coeff, power, pos = _parse_term(tokens, pos, text)
-            k = power % 8
-            s = sign if k < 4 else -sign
-            coeffs[k % 4] += s * coeff
-            sign = 1
-            first = False
+        while pos < len(text):
+            m = _TERM_RE.match(text, pos)
+            # Every term after the first is led by its own + or -.
+            if m is None or (pos and not m[1]):
+                raise ValueError(f"bad cyclotomic literal {text!r} at {text[pos:]!r}")
+            sign, z_coeff, exp, rational = m.groups()
+            try:
+                coeff = Fraction(rational or z_coeff or 1)
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in cyclotomic literal {text!r}") from None
+            k = 0 if rational else int(exp or 1) % 8
+            coeffs[k % 4] += -coeff if (sign == "-") != (k >= 4) else coeff
+            pos = m.end()
         return CycloNum(*coeffs)
 
     def to_complex(self) -> complex:
@@ -333,6 +347,18 @@ def _from_canonical(v) -> CycloNum:
     return x
 
 
+def _within(limit: int, x: CycloNum) -> CycloNum:
+    """x, refused when one of its ints has more than limit digits (0: none)."""
+    # An integer of more than limit digits has more than 3.32 * limit bits.
+    if limit and max(map(int.bit_length, x._v)) > 3.32 * limit:
+        if any(abs(i) >= 10**limit for i in x._v):
+            raise ValueError(
+                f"Exceeds the limit ({limit} digits) for integer string conversion "
+                "in a power; use sys.set_int_max_str_digits() to increase the limit"
+            )
+    return x
+
+
 def _canonical(n0: int, n1: int, n2: int, n3: int, d: int) -> CycloNum:
     """(n0 + n1*zeta + n2*zeta^2 + n3*zeta^3) / d for d > 0, reduced."""
     if d != 1:
@@ -348,60 +374,13 @@ def _canonical(n0: int, n1: int, n2: int, n3: int, d: int) -> CycloNum:
     return x
 
 
-_TOKEN_RE = re.compile(r"\s*(?:(-?\d+(?:/\d+)?)|(z)|(\^)|(\*)|(\+)|(-))")
-
-
-def _scan_literal(text: str) -> list[str]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
-            rest = text[pos:].strip()
-            if not rest:
-                break
-            raise ValueError(f"bad character in cyclotomic literal at {rest[:8]!r}")
-        tokens.append(m.group(m.lastindex))
-        pos = m.end()
-    return tokens
-
-
-def _parse_term(tokens, pos, text):
-    """One term: RATIONAL [* z[^k]] or z[^k].  Returns (coeff, power, pos)."""
-    coeff = Fraction(1)
-    power = 0
-    tok = tokens[pos]
-    if tok not in ("z", "^", "*", "+", "-"):
-        try:
-            coeff = Fraction(tok)
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in cyclotomic literal {text!r}") from None
-        pos += 1
-        if pos < len(tokens) and tokens[pos] == "*":
-            pos += 1
-            if pos >= len(tokens) or tokens[pos] != "z":
-                raise ValueError(f"expected z after '*' in {text!r}")
-        elif pos < len(tokens) and tokens[pos] == "z":
-            raise ValueError(f"missing '*' between coefficient and z in {text!r}")
-        else:
-            return coeff, 0, pos
-    if pos < len(tokens) and tokens[pos] == "z":
-        power = 1
-        pos += 1
-        if pos < len(tokens) and tokens[pos] == "^":
-            pos += 1
-            if pos >= len(tokens):
-                raise ValueError(f"dangling '^' in {text!r}")
-            exp = tokens[pos]
-            if not exp.lstrip("-").isdigit() or "/" in exp:
-                raise ValueError(f"bad exponent {exp!r} in {text!r}")
-            power = int(exp)
-            if power < 0:
-                raise ValueError("negative powers of z are not accepted; use z^7 etc.")
-            pos += 1
-    elif coeff == 1:
-        raise ValueError(f"expected a term in {text!r}")
-    return coeff, power, pos
+# One term of a literal: an optional sign, then RATIONAL*z[^k], z[^k] or
+# RATIONAL, where a RATIONAL may carry its own minus.  The groups are the
+# sign, the coefficient of z, the exponent and the lone rational.
+_RATIONAL = r"-?\d+(?:/\d+)?"
+_TERM_RE = re.compile(
+    rf"\s*(?:([+-])\s*)?(?:(?:({_RATIONAL})\s*\*\s*)?z(?:\s*\^\s*(\d+))?|({_RATIONAL}))\s*"
+)
 
 
 ZERO = CycloNum(0)
@@ -420,6 +399,14 @@ _ZETA_POWERS = tuple(
 def zeta_pow(k: int) -> CycloNum:
     """zeta^k for any integer k (zeta has order 8), one of eight shared constants."""
     return _ZETA_POWERS[k % 8]
+
+
+_ZETA_LOG = {w: k for k, w in enumerate(_ZETA_POWERS)}
+
+
+def zeta_log(z: CycloNum) -> int | None:
+    """The k in 0..7 with z = zeta^k, or None when z is no eighth root of unity."""
+    return _ZETA_LOG.get(z)
 
 
 def rational_sqrt(x: Fraction) -> Fraction | None:

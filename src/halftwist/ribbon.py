@@ -40,7 +40,6 @@ single exact scalar.
 from __future__ import annotations
 
 import re
-import sys
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import product as iproduct
@@ -257,19 +256,21 @@ def parse(text: str) -> RibbonDiagram:
     return RibbonDiagram(bottom or 0, tuple(ops), r_power)
 
 
+@dataclass(frozen=True)
 class LinearBlock:
     """Exact linear map (x)^n A -> (x)^m A as a sparse coefficient table.
 
     The table is a SparseTensor of rank n + m: each key holds n input basis
     indices, then m output ones; absent entries are zero.  A closed diagram
     gives n = m = 0 and the table holds a single scalar at ().  The table is
-    kept as given, so it must hold no zero entry.
+    kept as given, so it must hold no zero entry.  Blocks are equal when n,
+    m and table are; the table is a dict, so a block is not hashable.
     """
 
-    def __init__(self, n: int, m: int, table: dict):
-        self.n = n
-        self.m = m
-        self.table = table
+    n: int
+    m: int
+    table: dict
+    __hash__ = None
 
     @classmethod
     def identity(cls, width: int, dim: int) -> "LinearBlock":
@@ -295,11 +296,6 @@ class LinearBlock:
         """(input tuple, output tuple), value pairs in sorted order."""
         n = self.n
         return [((k[:n], k[n:]), v) for k, v in sorted(self.table.items())]
-
-    def __eq__(self, other):
-        if not isinstance(other, LinearBlock):
-            return NotImplemented
-        return (self.n, self.m, self.table) == (other.n, other.m, other.table)
 
     def __repr__(self):
         return f"LinearBlock({self.n}->{self.m}, {len(self.table)} entries)"
@@ -327,8 +323,8 @@ def evaluate(diagram: RibbonDiagram, algebra: HalfTwistAlgebra) -> LinearBlock:
     is built.  The row indices are cached on the algebra, so a diagram
     without t- never inverts the twist.  Inputs bound out of order are put
     in input order in one pass at the end, and the result is multiplied by
-    vertex_weight ** r_power, which is refused past Python's int digit limit
-    (_weight_power).
+    vertex_weight ** r_power, which CycloNum.__pow__ refuses past Python's
+    int digit limit.
     """
     n, m = diagram.bottom, diagram.top
 
@@ -375,36 +371,8 @@ def evaluate(diagram: RibbonDiagram, algebra: HalfTwistAlgebra) -> LinearBlock:
         state = {by_input(k): v for k, v in state.items()}
 
     if diagram.r_power:
-        state = scale(state, _weight_power(algebra.vertex_weight, diagram.r_power))
+        state = scale(state, algebra.vertex_weight ** diagram.r_power)
     return LinearBlock(n, m, state)
-
-
-def _weight_power(weight: CycloNum, power: int) -> CycloNum:
-    """weight ** power by squaring, refused with ValueError as soon as an
-    integer of an intermediate power has more digits than Python writes as
-    text (sys.get_int_max_str_digits(); no check when that is 0).  Such a
-    power could not be printed, and squaring on past it exhausts memory.
-    """
-    limit = sys.get_int_max_str_digits()
-    # An integer of more than limit digits has more than 3.32 * limit bits.
-    bits = 3.32 * limit
-
-    def checked(x: CycloNum) -> CycloNum:
-        if limit and any(i.bit_length() > bits and abs(i) >= 10**limit for i in x._v):
-            raise ValueError(
-                f"Exceeds the limit ({limit} digits) for integer string conversion "
-                f"in R^{power}; use sys.set_int_max_str_digits() to increase the limit"
-            )
-        return x
-
-    result, base, rest = ONE, weight, power
-    while True:
-        if rest & 1:
-            result = checked(result * base)
-        rest >>= 1
-        if not rest:
-            return result
-        base = checked(base * base)
 
 
 @cache

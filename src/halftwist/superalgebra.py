@@ -75,8 +75,9 @@ class HalfTwistAlgebra:
     """Basis-indexed tensor data for the pin state sum.
 
     A frozen record: no field can be rebound, equality is identity, and it
-    may be shared freely across threads.  dim is len(parity), and a crossing
-    left out is the graded swap for parity.  `spec`, when set, is the
+    may be shared freely across threads.  dim is len(parity); labels of
+    another length are refused when built.  A crossing left out is the
+    graded swap for parity.  `spec`, when set, is the
     constructor spec the algebra was built from, grouped so that
     `parse_algebra` reads it back, but without any @alpha: an algebra at
     another alpha has the same spec.
@@ -100,6 +101,8 @@ class HalfTwistAlgebra:
 
     def __post_init__(self):
         object.__setattr__(self, "dim", len(self.parity))
+        if len(self.labels) != self.dim:
+            raise ValueError("labels length does not match parity length")
         if self.crossing is None:
             object.__setattr__(self, "crossing", _swap_crossing(self.parity))
 
@@ -636,14 +639,8 @@ def custom_from_tensors(
     """
     parity = tuple(int(p) & 1 for p in parity)
     dim = len(parity)
-    if labels is None:
-        labels = tuple(f"e{a}" for a in range(dim))
-    else:
-        labels = tuple(labels)
-        if len(labels) != dim:
-            raise ValueError("labels length does not match parity length")
     return HalfTwistAlgebra(
-        labels=labels,
+        labels=tuple(f"e{a}" for a in range(dim)) if labels is None else tuple(labels),
         parity=parity,
         node=_validate_shape(node, 3, dim, "node"),
         cap=_validate_shape(cap, 2, dim, "cap"),

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import mul
 
-from .cyclo import CycloNum, ZERO, zeta_pow, real_sqrt
+from .cyclo import CycloNum, ZERO, zeta_log, real_sqrt
 from .linalg import SparseTensor, einsum, mat_invert, nullspace, row_reduce, scale
 from .pingeo import PinSurfacePresentation, parse_presentation
 from .ribbon import LinearBlock
@@ -323,13 +323,13 @@ def classify_invertible(a: HalfTwistAlgebra) -> ClassifyResult:
             "square root in the field"
         )
     ratio = partition_function(a, PinSurfacePresentation((), (1,))) / scale
-    for k in range(8):
-        if ratio == zeta_pow(k):
-            return ClassifyResult(True, k, scale)
-    raise ValueError(
-        "not in the invertible family: projective-plane ratio is not an "
-        "eighth root of unity"
-    )
+    k = zeta_log(ratio)
+    if k is None:
+        raise ValueError(
+            "not in the invertible family: projective-plane ratio is not an "
+            "eighth root of unity"
+        )
+    return ClassifyResult(True, k, scale)
 
 
 @dataclass(frozen=True)

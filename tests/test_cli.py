@@ -32,6 +32,10 @@ def test_partition_with_alpha_flag():
     code, text = run("--format", "kv", "--alpha", "z-z^3", "partition", "cl(1,0)", "sphere")
     assert code == 0
     assert "Z = 2 + 0*z + 0*z^2 + 0*z^3" in text
+    # alpha = sqrt(2) - 1, so Z = alpha^2 = 3 - 2*sqrt(2).
+    code, text = run("--format", "kv", "--alpha=z-z^3-1", "partition", "cl(1,0)", "sphere")
+    assert code == 0
+    assert "Z = 3 + -2*z + 0*z^2 + 2*z^3" in text
 
 
 def test_partition_presentation_literal():

@@ -3,6 +3,8 @@ import math
 import pickle
 import random
 import re
+import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -16,6 +18,7 @@ from halftwist.cyclo import (
     ZETA,
     rational_sqrt,
     real_sqrt,
+    zeta_log,
     zeta_pow,
 )
 
@@ -38,6 +41,12 @@ def test_zeta_pow_is_a_shared_power_of_zeta():
     for k in range(-16, 17):
         assert zeta_pow(k) == ZETA ** (k % 8), k
         assert zeta_pow(k) is zeta_pow(k + 8)
+        assert zeta_log(zeta_pow(k)) == k % 8
+
+
+@pytest.mark.parametrize("value", [ZERO, CycloNum(2), SQRT2, ZETA / 2, ONE + I, 2 * I])
+def test_zeta_log_of_no_root_of_unity(value):
+    assert zeta_log(value) is None
 
 
 def test_division_example():
@@ -130,16 +139,63 @@ def test_render_parse_round_trip():
         ("1/2*z^2 - z", CycloNum(0, -1, Fraction(1, 2), 0)),
         ("z^7", -zeta_pow(3)),
         ("0 + 1*z + 0*z^2 + -1*z^3", SQRT2),
+        ("z-z^3-1", SQRT2 - ONE),
+        ("2-1", ONE),
+        ("3 -1", CycloNum(2)),
+        ("z^2-1", I - ONE),
     ],
 )
 def test_parse_literals(text, value):
     assert CycloNum.parse(text) == value
 
 
+def _spell(rng, terms):
+    """One spelling of sum(c * z^k): spaces or none, `z` or `1*z`, a signed
+    coefficient after +, or the negated coefficient after -."""
+
+    def gap():
+        return rng.choice(["", " "])
+
+    out = ""
+    for i, (c, k) in enumerate(terms):
+        power = "z" if k == 1 and rng.random() < 0.5 else f"z^{k}"
+        if abs(c) == 1 and rng.random() < 0.5:
+            sign, body = ("+" if c == 1 else "-"), power
+        else:
+            sign, c = rng.choice([("+", c), ("-", -c)])
+            body = str(c) if k == 0 and rng.random() < 0.5 else f"{c}*{power}"
+        if i == 0 and sign == "+" and rng.random() < 0.5:
+            sign = ""
+        out += (gap() if i else "") + sign + gap() + body
+    return out
+
+
+def test_parse_sums_in_many_spellings():
+    rng = random.Random(35)
+    for _ in range(400):
+        terms = [
+            (Fraction(rng.randint(-9, 9), rng.randint(1, 4)), rng.randint(0, 15))
+            for _ in range(rng.randint(1, 6))
+        ]
+        value = sum((c * zeta_pow(k) for c, k in terms), ZERO)
+        for _ in range(4):
+            text = _spell(rng, terms)
+            assert CycloNum.parse(text) == value, text
+
+
 @pytest.mark.parametrize("bad", ["", "z^-1", "1 +", "q", "2 3", "1/2/3"])
 def test_parse_rejects(bad):
     with pytest.raises(ValueError):
         CycloNum.parse(bad)
+
+
+def test_parse_refuses_long_blank_runs_at_once():
+    # Blanks around a sign are matched once each, not tried in every split.
+    start = time.perf_counter()
+    for bad in (" " * 10**5 + "x", "1 -" + " " * 10**5 + "x", " " * 10**5 + "-"):
+        with pytest.raises(ValueError):
+            CycloNum.parse(bad)
+    assert time.perf_counter() - start < 1
 
 
 @pytest.mark.parametrize("bad", ["1/0", "2/0*z", "1 + 3/0*z^2"])
@@ -177,6 +233,28 @@ def test_pow():
     assert ZETA**8 == ONE
     assert ZETA**-1 == ZETA.conjugate()
     assert SQRT2**-2 == CycloNum(Fraction(1, 2))
+
+
+def test_negative_power_inverts_first(monkeypatch):
+    want = SQRT2 / 4
+    inverted = []
+    inverse = CycloNum.inverse
+    monkeypatch.setattr(CycloNum, "inverse", lambda x: inverted.append(x) or inverse(x))
+    assert SQRT2**-3 == want
+    assert inverted == [SQRT2]
+
+
+def test_pow_past_the_digit_limit_is_refused():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        # 2^14000 has 4215 digits and 2^14300 has 4305.
+        assert CycloNum(2) ** 14000 == 2**14000
+        for exp in (14300, -14300):
+            with pytest.raises(ValueError, match=r"^Exceeds the limit \(4300 digits\)"):
+                CycloNum(2) ** exp
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_hash_agrees_with_equality():

@@ -138,6 +138,16 @@ def test_diagram_fields_cannot_be_rebound(name):
         setattr(d, name, getattr(d, name))
 
 
+@pytest.mark.parametrize("name", ["n", "m", "table"])
+def test_block_fields_cannot_be_rebound(name):
+    block = LinearBlock.identity(1, 2)
+    with pytest.raises(FrozenInstanceError):
+        setattr(block, name, getattr(block, name))
+    assert block == LinearBlock(1, 1, {(0, 0): ONE, (1, 1): ONE})
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(block)
+
+
 def test_projective_plane_values():
     a = algebra("cl(1,0)")
     assert evaluate(parse(RP2_TEXT), a).scalar() == ZETA

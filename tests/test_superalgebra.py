@@ -233,6 +233,20 @@ def test_direct_sum_mismatch_errors():
         direct_sum(a, degenerate)
 
 
+def test_labels_of_another_length_are_refused():
+    base = algebra("cl(1,0)")
+    message = "labels length does not match parity length"
+    with pytest.raises(ValueError, match=message):
+        custom_from_tensors(
+            base.node, base.cap, base.cup, base.crossing, base.twist,
+            base.vertex_weight, base.parity, labels=("x",),
+        )
+    kwargs = {f.name: getattr(base, f.name) for f in fields(HalfTwistAlgebra) if f.init}
+    assert HalfTwistAlgebra(**kwargs).labels == base.labels
+    with pytest.raises(ValueError, match=message):
+        HalfTwistAlgebra(**{**kwargs, "labels": ("x",)})
+
+
 def test_supertensor_koszul_sign():
     t = algebra("cl(1,0) (x) cl(1,0)")
     g1 = t.basis_element(t.index_of_label("G1*1"))
